@@ -13,13 +13,11 @@
 //!                                    # LogGP bound vs DES cross-check
 //!
 //! repro serve --jobs 2000       # long-running collective service demo
-//! repro bench7 --workers 4      # sustained service throughput, warm vs cold
-//! repro bench8 --workers 4      # goodput under queue overload, per policy
 //! repro storm --seed 42         # seeded fault storm against the service
 //!
 //! options:
 //!   --nodes N      largest node count (default 32; `lint` defaults to 2,
-//!                  `serve`/`bench7` to 4)
+//!                  `serve` to 4)
 //!   --machine M    dane | amber | tuolumne (default dane; figs 17/18 override)
 //!   --runs R       jittered runs per point, minimum reported (default 3)
 //!   --seed S       base seed (default 1)
@@ -28,14 +26,14 @@
 //!                  engine, 0 = all host cores. Results are byte-identical
 //!                  for any value; only wall-clock changes
 //!   --out DIR      output directory (default results)
-//!   --baseline F   (bench4/bench6/bench7) gate against the matching prior
-//!                  BENCH_N.json: fail on a >20% normalized regression
 //!   --deny warnings    (lint only) exit nonzero on warnings, not just errors
 //!   --window N     (lint only) A2A005 per-destination send window (default 32)
 //!   --jobs N       (serve only) jobs to push through the service (default 2000)
-//!   --tenants N    (serve/bench7/bench8) tenants to round-robin jobs across
-//!                  (default 4)
+//!   --tenants N    (serve only) tenants to round-robin jobs across (default 4)
 //! ```
+//!
+//! Performance is not measured here: `bash benchmark/run.sh` is the
+//! repository's one benchmark.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -75,7 +73,6 @@ fn main() -> ExitCode {
     let mut cfg = RunConfig::default();
     let mut out_dir = PathBuf::from("results");
     let mut want_table1 = false;
-    let mut baseline: Option<PathBuf> = None;
     let mut nodes_set = false;
     let mut deny_warnings = false;
     let mut lint_window: usize = 32;
@@ -95,6 +92,10 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--nodes" => {
                 cfg.nodes = value("--nodes").parse().expect("--nodes: integer");
+                if cfg.nodes == 0 {
+                    eprintln!("--nodes must be at least 1");
+                    return ExitCode::from(2);
+                }
                 nodes_set = true;
             }
             "--machine" => cfg.machine = value("--machine"),
@@ -103,7 +104,6 @@ fn main() -> ExitCode {
             "--scale" => cfg.full_scale = value("--scale") == "full",
             "--workers" => cfg.workers = value("--workers").parse().expect("--workers: integer"),
             "--out" => out_dir = PathBuf::from(value("--out")),
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline"))),
             "--deny" => {
                 let what = value("--deny");
                 assert_eq!(what, "warnings", "--deny: only `warnings` is understood");
@@ -121,19 +121,15 @@ fn main() -> ExitCode {
             "table1" => want_table1 = true,
             "tune" => figures.push("tune".into()),
             "chaos" => figures.push("chaos".into()),
-            "bench4" => figures.push("bench4".into()),
-            "bench6" => figures.push("bench6".into()),
-            "bench7" => figures.push("bench7".into()),
-            "bench8" => figures.push("bench8".into()),
             "storm" => figures.push("storm".into()),
             "serve" => figures.push("serve".into()),
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [all|table1|tune|chaos|bench4|bench6|bench7|bench8|storm|serve|lint|verify|fig7..fig18|headline|ablation-*]... [options]"
+                    "usage: repro [all|table1|tune|chaos|storm|serve|lint|verify|fig7..fig18|headline|ablation-*]... [options]"
                 );
                 println!("figures: {:?}", known_figures());
                 println!(
-                    "options: --nodes N --machine M --runs R --seed S --scale full|small --workers N --out DIR --baseline FILE --deny warnings --window N --jobs N --tenants N"
+                    "options: --nodes N --machine M --runs R --seed S --scale full|small --workers N --out DIR --deny warnings --window N --jobs N --tenants N"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -257,172 +253,6 @@ fn main() -> ExitCode {
             )
             .expect("write selector table");
             println!("  [tune done in {:.1?}]", start.elapsed());
-            continue;
-        }
-        if name == "bench4" {
-            let report = a2a_bench::bench4(cfg.nodes);
-            println!("\n{}", report.table());
-            println!(
-                "  geomean speedup (fast vs legacy executor): {:.2}x",
-                report.geomean_speedup()
-            );
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
-            std::fs::write(
-                out_dir.join("BENCH_4.json"),
-                serde_json::to_string_pretty(&report).expect("serialize"),
-            )
-            .expect("write BENCH_4.json");
-            println!("  [bench4 done in {:.1?}]", start.elapsed());
-            if let Some(path) = &baseline {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-                let base: a2a_bench::Bench4Report =
-                    serde_json::from_str(&text).expect("parse baseline BENCH_4.json");
-                let bad = report.regressions_against(&base);
-                if !bad.is_empty() {
-                    for (algo, bytes, ratio) in &bad {
-                        eprintln!(
-                            "REGRESSION: {algo} @ {bytes} B legacy-normalized msgs/sec at {:.2}x of baseline (floor {})",
-                            ratio,
-                            a2a_bench::REGRESSION_FLOOR
-                        );
-                    }
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "  baseline gate passed ({} cells vs {})",
-                    report.cells.len(),
-                    path.display()
-                );
-            }
-            continue;
-        }
-        if name == "bench6" {
-            let report = a2a_bench::bench6(&cfg);
-            println!("\n{}", report.table());
-            println!(
-                "  geomean speedup (sharded vs sequential engine): {:.2}x",
-                report.geomean_speedup()
-            );
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
-            std::fs::write(
-                out_dir.join("BENCH_6.json"),
-                serde_json::to_string_pretty(&report).expect("serialize"),
-            )
-            .expect("write BENCH_6.json");
-            println!("  [bench6 done in {:.1?}]", start.elapsed());
-            if let Some(path) = &baseline {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-                let base: a2a_bench::Bench6Report =
-                    serde_json::from_str(&text).expect("parse baseline BENCH_6.json");
-                let bad = report.regressions_against(&base);
-                if !bad.is_empty() {
-                    for (algo, bytes, ratio) in &bad {
-                        eprintln!(
-                            "REGRESSION: {algo} @ {bytes} B sequential-normalized events/sec at {:.2}x of baseline (floor {})",
-                            ratio,
-                            a2a_bench::REGRESSION_FLOOR
-                        );
-                    }
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "  baseline gate passed ({} cells vs {})",
-                    report.cells.len(),
-                    path.display()
-                );
-            }
-            continue;
-        }
-        if name == "bench7" {
-            // Cold cells compile+lint per job, so default to a small grid
-            // (like `lint`); `--nodes` scales it up explicitly.
-            let nodes = if nodes_set { cfg.nodes } else { 4 };
-            let workers = cfg.workers.max(1);
-            let report = a2a_bench::bench7(nodes, workers, tenants);
-            println!("\n{}", report.table());
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
-            std::fs::write(
-                out_dir.join("BENCH_7.json"),
-                serde_json::to_string_pretty(&report).expect("serialize"),
-            )
-            .expect("write BENCH_7.json");
-            println!("  [bench7 done in {:.1?}]", start.elapsed());
-            if !report.meets_floor() {
-                eprintln!(
-                    "FAILED: warm cache sustains only {:.2}x the cold rate (hard floor {}x)",
-                    report.geomean_warm_over_cold(),
-                    a2a_bench::WARM_COLD_FLOOR
-                );
-                return ExitCode::FAILURE;
-            }
-            if let Some(path) = &baseline {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-                let base: a2a_bench::Bench7Report =
-                    serde_json::from_str(&text).expect("parse baseline BENCH_7.json");
-                let bad = report.regressions_against(&base);
-                if !bad.is_empty() {
-                    for (algo, bytes, ratio) in &bad {
-                        eprintln!(
-                            "REGRESSION: {algo} @ {bytes} B cold-normalized jobs/sec at {:.2}x of baseline (floor {})",
-                            ratio,
-                            a2a_bench::BENCH7_REGRESSION_FLOOR
-                        );
-                    }
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "  baseline gate passed ({} cells vs {})",
-                    report.cells.len(),
-                    path.display()
-                );
-            }
-            continue;
-        }
-        if name == "bench8" {
-            let nodes = if nodes_set { cfg.nodes } else { 1 };
-            let workers = cfg.workers.max(1);
-            let report = a2a_bench::bench8(nodes, workers, tenants);
-            println!("\n{}", report.table());
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
-            std::fs::write(
-                out_dir.join("BENCH_8.json"),
-                serde_json::to_string_pretty(&report).expect("serialize"),
-            )
-            .expect("write BENCH_8.json");
-            println!("  [bench8 done in {:.1?}]", start.elapsed());
-            if !report.meets_floor() {
-                eprintln!(
-                    "FAILED: geomean goodput under overload at {:.2}x of the warm rate (hard floor {}x)",
-                    report.geomean_goodput_over_warm(),
-                    a2a_bench::OVERLOAD_FLOOR
-                );
-                return ExitCode::FAILURE;
-            }
-            if let Some(path) = &baseline {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("read baseline {}: {e}", path.display()));
-                let base: a2a_bench::Bench8Report =
-                    serde_json::from_str(&text).expect("parse baseline BENCH_8.json");
-                let bad = report.regressions_against(&base);
-                if !bad.is_empty() {
-                    for (scope, ratio) in &bad {
-                        eprintln!(
-                            "REGRESSION: {scope} warm-normalized goodput at {:.2}x of baseline (floor {})",
-                            ratio,
-                            a2a_bench::BENCH8_REGRESSION_FLOOR
-                        );
-                    }
-                    return ExitCode::FAILURE;
-                }
-                println!(
-                    "  baseline gate passed ({} cells vs {})",
-                    report.cells.len(),
-                    path.display()
-                );
-            }
             continue;
         }
         if name == "storm" {

@@ -4,7 +4,11 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use a2a_core::{A2AContext, AlgoSchedule, AlltoallAlgorithm};
+use a2a_core::{
+    A2AContext, AlgoSchedule, AlltoallAlgorithm, BruckAlltoall, ExchangeKind, HierarchicalAlltoall,
+    MpichShmAlltoall, MultileaderNodeAwareAlltoall, NodeAwareAlltoall, NonblockingAlltoall,
+    PairwiseAlltoall,
+};
 use a2a_netsim::{
     models, simulate_min_of, simulate_min_of_sharded, CostModel, ShardOptions, SimReport,
 };
@@ -107,6 +111,28 @@ pub fn machine_for(name: &str, nodes: usize, full_scale: bool) -> Machine {
             other => Machine::custom(other, nodes, 2, 4, 4),
         }
     }
+}
+
+/// The 4-ppn machine the correctness sweeps (`lint`, `verify`, `storm`,
+/// `serve`) run on: `nodes` x 2 sockets x 1 NUMA x 2 cores, small enough
+/// that 32 nodes (128 ranks) sweeps in seconds.
+pub fn bench_grid(nodes: usize) -> ProcGrid {
+    ProcGrid::new(Machine::custom("bench", nodes, 2, 1, 2))
+}
+
+/// The eight algorithms of the paper's evaluation, with group sizes that
+/// divide [`bench_grid`]'s 4 ppn.
+pub fn bench_roster() -> Vec<Box<dyn AlltoallAlgorithm>> {
+    vec![
+        Box::new(PairwiseAlltoall),
+        Box::new(NonblockingAlltoall),
+        Box::new(BruckAlltoall),
+        Box::new(HierarchicalAlltoall::new(4, ExchangeKind::Nonblocking)),
+        Box::new(NodeAwareAlltoall::node_aware(ExchangeKind::Pairwise)),
+        Box::new(NodeAwareAlltoall::locality_aware(2, ExchangeKind::Pairwise)),
+        Box::new(MultileaderNodeAwareAlltoall::new(2, ExchangeKind::Pairwise)),
+        Box::new(MpichShmAlltoall::default()),
+    ]
 }
 
 /// Simulate one algorithm at one size: min of `runs` jittered executions.
@@ -273,7 +299,6 @@ fn truncate(s: &str, n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use a2a_core::PairwiseAlltoall;
 
     #[test]
     fn machine_scaling_preserves_hierarchy() {

@@ -1,6 +1,7 @@
-//! Benchmark harness: regenerates every table and figure of the paper's
-//! evaluation (Figures 7–18, Table 1) on the simulated machines, and hosts
-//! the microbenchmarks (see [`microbench`]).
+//! Reproduction harness: regenerates every table and figure of the paper's
+//! evaluation (Figures 7–18, Table 1) on the simulated machines and runs the
+//! correctness sweeps (`lint`, `verify`, `chaos`, `storm`, `serve`).
+//! Performance is measured elsewhere, by `benchmark/run.sh`.
 //!
 //! The `repro` binary (`src/bin/repro.rs`) is the entry point:
 //!
@@ -18,11 +19,8 @@ pub mod chaos;
 pub mod figures;
 pub mod harness;
 pub mod lint_sweep;
-pub mod microbench;
 pub mod service_bench;
-pub mod simrate;
 pub mod storm;
-pub mod throughput;
 pub mod tune;
 pub mod verify_sweep;
 
@@ -32,16 +30,8 @@ pub use harness::{
     machine_for, run_min, FigureData, RunConfig, Series, DEFAULT_SIZES, PAPER_GROUP_SIZES,
 };
 pub use lint_sweep::{lint_roster, LintCell, LintSweep};
-pub use service_bench::{
-    bench7, serve_demo, Bench7Cell, Bench7Report, BENCH7_REGRESSION_FLOOR, BENCH7_SIZES,
-    WARM_COLD_FLOOR,
-};
-pub use simrate::{bench6, Bench6Cell, Bench6Report};
-pub use storm::{
-    bench8, storm, Bench8Cell, Bench8Report, StormRecord, StormReport, BENCH8_REGRESSION_FLOOR,
-    OVERLOAD_FLOOR,
-};
-pub use throughput::{bench4, Bench4Cell, Bench4Report, REGRESSION_FLOOR};
+pub use service_bench::serve_demo;
+pub use storm::{storm, StormRecord, StormReport};
 pub use tune::{tune, TuneResult};
 pub use verify_sweep::{
     verify_roster, MutationCheck, VerifyCell, VerifyReport, STATIC_BOUND_FACTOR,

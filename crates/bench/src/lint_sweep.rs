@@ -1,7 +1,7 @@
 //! `repro lint`: sweep the static analyzer across the algorithm roster.
 //!
 //! Every cell is one `(machine, algorithm, block size)` triple run through
-//! every lint pass (`a2a-lint`). The sweep covers the BENCH_4 grid (4 ppn)
+//! every lint pass (`a2a-lint`). The sweep covers the `bench` grid (4 ppn)
 //! plus the three scaled paper machines (dane, amber, tuolumne), so both
 //! the flat and deeply hierarchical topologies are proven deadlock- and
 //! race-free at every paper block size. The v-variant (`MPI_Alltoallv`)
@@ -21,8 +21,7 @@ use a2a_lint::{lint_schedule, LintConfig, LintReport};
 use a2a_topo::ProcGrid;
 use serde::{Deserialize, Serialize};
 
-use crate::harness::{machine_for, DEFAULT_SIZES};
-use crate::throughput::{bench4_grid, bench4_roster};
+use crate::harness::{bench_grid, bench_roster, machine_for, DEFAULT_SIZES};
 
 /// One linted `(machine, algorithm, block size)` cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -122,7 +121,7 @@ impl LintSweep {
 
 /// The topology presets the roster is linted on.
 fn lint_grids(nodes: usize) -> Vec<(String, ProcGrid)> {
-    let mut grids = vec![("bench".to_string(), bench4_grid(nodes))];
+    let mut grids = vec![("bench".to_string(), bench_grid(nodes))];
     for name in ["dane", "amber", "tuolumne"] {
         grids.push((
             name.to_string(),
@@ -188,7 +187,7 @@ pub fn lint_roster(nodes: usize, cfg: &LintConfig) -> LintSweep {
         findings: Vec::new(),
     };
     for (machine, grid) in lint_grids(nodes) {
-        for algo in bench4_roster() {
+        for algo in bench_roster() {
             for &bytes in &DEFAULT_SIZES {
                 let label = format!(
                     "{} {} n={} block={}",

@@ -1,325 +1,27 @@
-//! BENCH_7: sustained collective-service throughput, warm cache vs cold.
-//!
-//! Measures `a2a_service::Service`'s end-to-end job rate — admitted,
-//! executed, verified collectives per second — for the paper's eight
-//! all-to-all algorithms under a queue of thousands of jobs from multiple
-//! tenants. Each cell is timed twice on the same host, with the same CPU
-//! budget (`workers` threads):
-//!
-//! * **cold**: the pre-service "one run owns the world" stack — a
-//!   cache-disabled service admitting one job at a time, each job paying
-//!   the full per-run pipeline (schedule build, validate, lint, prepare)
-//!   and executing on a freshly spun-up `std::thread::scope` of `workers`
-//!   threads ([`Engine::Parallel`]), exactly as callers ran collectives
-//!   before the service existed;
-//! * **warm**: the service machinery the tentpole introduces — a warm
-//!   [`a2a_service::ScheduleCache`] (admission is a cache hit), a
-//!   persistent pool of `workers` workers overlapping jobs, pooled
-//!   scratches, and compatible jobs batched onto one scratch.
-//!
-//! Block sizes are small ([`BENCH7_SIZES`]): sustained small-message
-//! collectives are the service's target regime. At payload-dominated
-//! sizes both modes converge on memcpy time and the ratio tends to 1x —
-//! that regime is BENCH_4's subject, not this bench's.
-//!
-//! Before any timing, one warm job's receive buffers are compared
-//! byte-for-byte against a standalone `DataExecutor::run`, so a
-//! throughput number can never come from a wrong answer. The report
-//! (`BENCH_7.json`) carries both rates plus the warm/cold ratio per cell
-//! and can be gated against a checked-in baseline (`repro bench7
-//! --baseline`); independent of any baseline, the sweep fails outright if
-//! the geomean warm/cold ratio falls below [`WARM_COLD_FLOOR`].
+//! `repro serve`: one long-lived [`a2a_service::Service`] under a mixed
+//! multi-tenant workload. A demo and a smoke check (any failed job fails
+//! the command), not a measurement: the service's throughput and latency
+//! are the `svc_*` workloads of `benchmark/run.sh`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use a2a_core::AlltoallAlgorithm;
-use a2a_sched::{fill_alltoall_sbuf, DataExecutor};
-use a2a_service::{Engine, JobSpec, Service, ServiceConfig, ServiceStats};
-use a2a_topo::ProcGrid;
-use serde::{Deserialize, Serialize};
+use a2a_service::{JobSpec, Service, ServiceConfig, ServiceStats};
 
-use crate::throughput::{bench4_grid, bench4_roster};
+use crate::harness::{bench_grid, bench_roster};
 
-/// The acceptance floor: a warm cache must sustain at least this multiple
-/// of the cold per-job rate (sweep geomean). A service that recompiles,
-/// revalidates, or relints on the hot path lands near 1x and fails.
-pub const WARM_COLD_FLOOR: f64 = 5.0;
-
-/// Baseline gate: the sweep's geomean warm/cold ratio may fall to at most
-/// this fraction of the baseline's. Looser than BENCH_4/BENCH_6's 0.8
-/// because the cold mode is bounded by thread-scope parking, which
-/// scheduling noise swings by integer factors per cell (and ~±15% on the
-/// geomean even on an idle host); the hard [`WARM_COLD_FLOOR`] carries
-/// the absolute acceptance, this gate catches collapses relative to the
-/// checked-in baseline.
-pub const BENCH7_REGRESSION_FLOOR: f64 = 0.5;
-
-/// Wall-clock budget per timed mode; burst sizes adapt to it.
-const TARGET: Duration = Duration::from_millis(150);
-
-/// The block sizes BENCH_7 sweeps — the small-message regime where
-/// per-job setup (compile, lint, thread spin-up) is what throughput is
-/// made of. The full six-size BENCH_4 sweep would multiply runtime
-/// without exercising any new service path.
-pub const BENCH7_SIZES: [u64; 2] = [16, 64];
-
-/// One `(algorithm, block size)` measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench7Cell {
-    pub algo: String,
-    /// Per-pair block bytes.
-    pub bytes: u64,
-    /// Jobs executed in this cell (both modes, bursts included).
-    pub jobs: u64,
-    /// Pre-service stack: per-job compile + lint + thread-scope spin-up.
-    pub cold_jobs_per_sec: f64,
-    /// Warm service: cache hits + persistent pool + pooled scratches +
-    /// batching.
-    pub warm_jobs_per_sec: f64,
-    /// `warm_jobs_per_sec / cold_jobs_per_sec`.
-    pub warm_over_cold: f64,
-}
-
-/// The full BENCH_7 report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench7Report {
-    pub nodes: usize,
-    pub ppn: usize,
-    pub ranks: usize,
-    /// Service pool workers used for both modes.
-    pub workers: usize,
-    /// Tenants the job stream round-robins across.
-    pub tenants: u32,
-    /// Total jobs executed across the sweep.
-    pub total_jobs: u64,
-    pub cells: Vec<Bench7Cell>,
-}
-
-impl Bench7Report {
-    /// Aligned ASCII rendering.
-    pub fn table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# BENCH_7: service throughput ({} nodes x {} ppn = {} ranks, {} workers, {} tenants, {} jobs)",
-            self.nodes, self.ppn, self.ranks, self.workers, self.tenants, self.total_jobs
-        );
-        let _ = writeln!(
-            out,
-            "{:<28} {:>6} {:>7} {:>13} {:>13} {:>9}",
-            "algorithm", "bytes", "jobs", "cold job/s", "warm job/s", "warm/cold"
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>6} {:>7} {:>13.0} {:>13.0} {:>8.1}x",
-                truncate(&c.algo, 28),
-                c.bytes,
-                c.jobs,
-                c.cold_jobs_per_sec,
-                c.warm_jobs_per_sec,
-                c.warm_over_cold
-            );
-        }
-        let _ = writeln!(
-            out,
-            "geomean warm/cold: {:.1}x (floor {:.0}x)",
-            self.geomean_warm_over_cold(),
-            WARM_COLD_FLOOR
-        );
-        out
-    }
-
-    /// Geometric-mean warm/cold ratio across all cells (0.0 if empty).
-    pub fn geomean_warm_over_cold(&self) -> f64 {
-        if self.cells.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = self.cells.iter().map(|c| c.warm_over_cold.ln()).sum();
-        (log_sum / self.cells.len() as f64).exp()
-    }
-
-    /// Whether the sweep clears the baseline-independent acceptance floor.
-    pub fn meets_floor(&self) -> bool {
-        self.geomean_warm_over_cold() >= WARM_COLD_FLOOR
-    }
-
-    /// Gate against `baseline` on the cold-normalized rate (the
-    /// `warm_over_cold` column — both modes run on the same host in the
-    /// same process, so the ratio is portable while absolute jobs/sec are
-    /// not): the sweep geomean must retain [`BENCH7_REGRESSION_FLOOR`] of
-    /// the baseline's. Unlike BENCH_4/BENCH_6, single cells are NOT gated:
-    /// cold cells are bounded by thread-scope parking, which scheduling
-    /// noise swings by integer factors on a busy host, while the
-    /// 16-cell log-average is stable to a few percent. Returns the
-    /// offending `(scope, bytes, ratio)` rows; the geomean row uses
-    /// scope `"geomean"` and bytes 0.
-    pub fn regressions_against(&self, baseline: &Bench7Report) -> Vec<(String, u64, f64)> {
-        let mut bad = Vec::new();
-        let base_geo = baseline.geomean_warm_over_cold();
-        if base_geo > 0.0 {
-            let ratio = self.geomean_warm_over_cold() / base_geo;
-            if ratio < BENCH7_REGRESSION_FLOOR {
-                bad.push(("geomean".to_string(), 0, ratio));
-            }
-        }
-        bad
-    }
-}
-
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        format!("..{}", &s[s.len() - (n - 2)..])
-    }
-}
-
-/// Submit a burst of `burst` jobs (tenants round-robined), wait for all,
-/// and return the elapsed wall clock. Any job failure panics: throughput
-/// of failing jobs is meaningless.
-fn run_burst(
-    svc: &Service,
-    algo: &dyn AlltoallAlgorithm,
-    grid: &ProcGrid,
-    bytes: u64,
-    engine: Engine,
-    tenants: u32,
-    burst: u64,
-) -> Duration {
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..burst)
-        .map(|i| {
-            svc.submit(
-                algo,
-                grid,
-                JobSpec::new(i as u32 % tenants, bytes).with_engine(engine),
-            )
-        })
-        .collect();
-    for h in &handles {
-        h.wait()
-            .unwrap_or_else(|e| panic!("{} (s={bytes}): {e}", algo.name()));
-    }
-    t0.elapsed()
-}
-
-/// Sustained jobs/sec of `svc` for this workload: probe with a small
-/// burst to size the real bursts so three fit [`TARGET`], then best-of-3
-/// (noise only lowers a burst's rate, so the max filters it). Returns
-/// `(jobs_per_sec, jobs_executed)`.
-fn sustained(
-    svc: &Service,
-    algo: &dyn AlltoallAlgorithm,
-    grid: &ProcGrid,
-    bytes: u64,
-    engine: Engine,
-    tenants: u32,
-) -> (f64, u64) {
-    const PROBE: u64 = 4;
-    let per_job = run_burst(svc, algo, grid, bytes, engine, tenants, PROBE)
-        .div_f64(PROBE as f64)
-        .max(Duration::from_micros(5));
-    let burst = (TARGET.as_secs_f64() / 3.0 / per_job.as_secs_f64()).clamp(4.0, 2000.0) as u64;
-    let mut best = 0.0_f64;
-    for _ in 0..3 {
-        let elapsed = run_burst(svc, algo, grid, bytes, engine, tenants, burst);
-        best = best.max(burst as f64 / elapsed.as_secs_f64());
-    }
-    (best, PROBE + 3 * burst)
-}
-
-/// Measure one algorithm at one block size: the pre-service per-job
-/// stack vs the warm service, on the same `workers`-thread CPU budget,
-/// after a byte-identity check of the service output against a
-/// standalone executor run.
-pub fn bench7_cell(
-    algo: &dyn AlltoallAlgorithm,
-    grid: &ProcGrid,
-    bytes: u64,
-    workers: usize,
-    tenants: u32,
-) -> Bench7Cell {
-    let n = grid.world_size();
-    let warm = Service::new(ServiceConfig {
-        workers,
-        ..Default::default()
-    });
-
-    // Correctness first: the warm service's very first job (a cold miss,
-    // then every later job hits its cache) must reproduce a standalone
-    // run byte-for-byte.
-    let oracle = DataExecutor::run(
-        &a2a_core::AlgoSchedule::new(algo, a2a_core::A2AContext::new(grid.clone(), bytes)),
-        |r, buf| fill_alltoall_sbuf(r, n, bytes, buf),
-    )
-    .unwrap_or_else(|e| panic!("{} (s={bytes}): {e}", algo.name()));
-    let first = warm
-        .submit(algo, grid, JobSpec::new(0, bytes).with_return_data(true))
-        .wait()
-        .unwrap_or_else(|e| panic!("{} (s={bytes}): {e}", algo.name()));
-    assert_eq!(
-        first.rbufs.as_ref().expect("return_data was set"),
-        &oracle.rbufs,
-        "{} (s={bytes}): service output differs from standalone executor",
-        algo.name()
-    );
-
-    // The cold mode models the pre-service world: no cache (every job
-    // compiles, validates, and lints), one job at a time (each run owned
-    // the world), and a fresh `std::thread::scope` of `workers` threads
-    // per job. Same host, same CPU budget — only the service machinery
-    // differs.
-    let cold = Service::new(ServiceConfig {
-        workers: 1,
-        cache_capacity: 0,
-        ..Default::default()
-    });
-    let spinup = Engine::Parallel { threads: workers };
-    let (cold_rate, cold_jobs) = sustained(&cold, algo, grid, bytes, spinup, tenants);
-    let (warm_rate, warm_jobs) = sustained(&warm, algo, grid, bytes, Engine::Data, tenants);
-
-    Bench7Cell {
-        algo: algo.name(),
-        bytes,
-        jobs: 1 + cold_jobs + warm_jobs,
-        cold_jobs_per_sec: cold_rate,
-        warm_jobs_per_sec: warm_rate,
-        warm_over_cold: warm_rate / cold_rate,
-    }
-}
-
-/// The full sweep: eight algorithms x [`BENCH7_SIZES`].
-pub fn bench7(nodes: usize, workers: usize, tenants: u32) -> Bench7Report {
-    let grid = bench4_grid(nodes);
-    let tenants = tenants.max(1);
-    let mut cells = Vec::new();
-    for algo in bench4_roster() {
-        for &bytes in &BENCH7_SIZES {
-            cells.push(bench7_cell(algo.as_ref(), &grid, bytes, workers, tenants));
-        }
-    }
-    Bench7Report {
-        nodes,
-        ppn: grid.machine().ppn(),
-        ranks: grid.world_size(),
-        workers,
-        tenants,
-        total_jobs: cells.iter().map(|c| c.jobs).sum(),
-        cells,
-    }
-}
+/// Block sizes the demo cycles through: the small-message regime where
+/// per-job setup, not memcpy, is what a job costs.
+const SERVE_SIZES: [u64; 2] = [16, 64];
 
 /// `repro serve`: run one long-lived service over a mixed multi-tenant
-/// workload (every roster algorithm x [`BENCH7_SIZES`], `jobs` jobs
+/// workload (every roster algorithm x [`SERVE_SIZES`], `jobs` jobs
 /// round-robined across algorithms and tenants) and report what the
 /// service did. Returns the rendered summary and the final stats.
 pub fn serve_demo(nodes: usize, workers: usize, tenants: u32, jobs: u64) -> (String, ServiceStats) {
     use std::fmt::Write as _;
-    let grid = bench4_grid(nodes);
+    let grid = bench_grid(nodes);
     let tenants = tenants.max(1);
-    let roster = bench4_roster();
+    let roster = bench_roster();
     let svc = Service::new(ServiceConfig {
         workers,
         ..Default::default()
@@ -328,7 +30,7 @@ pub fn serve_demo(nodes: usize, workers: usize, tenants: u32, jobs: u64) -> (Str
     let handles: Vec<_> = (0..jobs)
         .map(|i| {
             let algo = &roster[(i as usize) % roster.len()];
-            let bytes = BENCH7_SIZES[(i as usize / roster.len()) % BENCH7_SIZES.len()];
+            let bytes = SERVE_SIZES[(i as usize / roster.len()) % SERVE_SIZES.len()];
             svc.submit(
                 algo.as_ref(),
                 &grid,
@@ -373,54 +75,6 @@ pub fn serve_demo(nodes: usize, workers: usize, tenants: u32, jobs: u64) -> (Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use a2a_core::PairwiseAlltoall;
-
-    #[test]
-    fn bench7_cell_measures_and_verifies() {
-        let grid = bench4_grid(1);
-        let cell = bench7_cell(&PairwiseAlltoall, &grid, 16, 2, 2);
-        assert_eq!(cell.bytes, 16);
-        assert!(cell.jobs > 8);
-        assert!(cell.cold_jobs_per_sec > 0.0);
-        assert!(cell.warm_jobs_per_sec > 0.0);
-        assert!(cell.warm_over_cold > 0.0);
-    }
-
-    #[test]
-    fn regression_gate_flags_slowdowns() {
-        let good = Bench7Cell {
-            algo: "a".into(),
-            bytes: 64,
-            jobs: 100,
-            cold_jobs_per_sec: 100.0,
-            warm_jobs_per_sec: 1000.0,
-            warm_over_cold: 10.0,
-        };
-        let report = |cell: &Bench7Cell| Bench7Report {
-            nodes: 1,
-            ppn: 4,
-            ranks: 4,
-            workers: 2,
-            tenants: 2,
-            total_jobs: cell.jobs,
-            cells: vec![cell.clone()],
-        };
-        assert!(report(&good).meets_floor());
-        assert!(report(&good).regressions_against(&report(&good)).is_empty());
-        // 0.7x of baseline: within bench7's noise headroom (floor 0.5),
-        // so the baseline gate stays quiet...
-        let mut slow = good.clone();
-        slow.warm_over_cold = 7.0;
-        assert!(report(&slow).regressions_against(&report(&good)).is_empty());
-        // ...but 0.4x of baseline trips it, and 4x warm/cold also fails
-        // the hard 5x floor independently of any baseline.
-        let mut collapsed = good.clone();
-        collapsed.warm_over_cold = 4.0;
-        assert!(!report(&collapsed).meets_floor());
-        let bad = report(&collapsed).regressions_against(&report(&good));
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].0, "geomean");
-    }
 
     #[test]
     fn serve_demo_runs_a_mixed_workload() {
@@ -431,25 +85,5 @@ mod tests {
         // 8 algorithms x 2 sizes reached within 40 jobs: 16 distinct keys.
         assert_eq!(stats.cache.compiled, 16);
         assert_eq!(stats.cache.hits, 40 - 16);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let grid = bench4_grid(1);
-        let report = Bench7Report {
-            nodes: 1,
-            ppn: grid.machine().ppn(),
-            ranks: grid.world_size(),
-            workers: 2,
-            tenants: 2,
-            total_jobs: 0,
-            cells: vec![bench7_cell(&PairwiseAlltoall, &grid, 4, 2, 2)],
-        };
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: Bench7Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cells.len(), 1);
-        assert_eq!(back.cells[0].algo, report.cells[0].algo);
-        assert!(report.table().contains("BENCH_7"));
-        assert!(report.geomean_warm_over_cold() > 0.0);
     }
 }

@@ -1,7 +1,5 @@
-//! Seeded fault storms and the BENCH_8 overload curve for the collective
-//! service's robustness layer.
-//!
-//! # `repro storm`
+//! `repro storm`: seeded fault storms against the collective service's
+//! robustness layer.
 //!
 //! [`storm`] drives one [`a2a_service::Service`] with three concurrent
 //! tenants following the [`a2a_faults::StormProfile`] schedules:
@@ -30,41 +28,15 @@
 //! outcomes don't depend on scheduling interleavings. Latencies are
 //! timing, so they go to stdout only, never into `storm.json`; CI runs
 //! the same seed twice and byte-compares the reports.
-//!
-//! # `repro bench8`
-//!
-//! [`bench8`] measures goodput under overload: an uncontended warm
-//! service sets the reference rate, then a service with a deliberately
-//! tiny admission queue takes a burst far larger than its capacity under
-//! each [`OverloadPolicy`]. The acceptance floor [`OVERLOAD_FLOOR`]:
-//! whatever the policy does with the excess (block, reject, shed), the
-//! jobs it *does* complete must flow at no worse than half the
-//! uncontended rate — overload control may refuse work, it must not
-//! collapse throughput.
 
 use std::time::{Duration, Instant};
 
 use a2a_core::PairwiseAlltoall;
 use a2a_faults::StormProfile;
-use a2a_service::{
-    BreakerConfig, BreakerState, Engine, JobError, JobSpec, OverloadPolicy, Service, ServiceConfig,
-};
+use a2a_service::{BreakerConfig, BreakerState, Engine, JobError, JobSpec, Service, ServiceConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::throughput::bench4_grid;
-
-/// BENCH_8 acceptance floor: under 2x+ queue overload, the geomean
-/// goodput across the overload policies must stay within this fraction
-/// of the uncontended warm rate. Geomean, not min: the Reject/ShedOldest
-/// cells complete only a queue's worth of jobs per burst, so their
-/// individual ratios swing ±0.15 with scheduling noise while the
-/// three-policy geomean is stable.
-pub const OVERLOAD_FLOOR: f64 = 0.5;
-
-/// Baseline gate for BENCH_8, mirroring BENCH_7's: the geomean
-/// warm-normalized goodput may fall to at most this fraction of the
-/// checked-in baseline's.
-pub const BENCH8_REGRESSION_FLOOR: f64 = 0.5;
+use crate::harness::bench_grid;
 
 const STORM_TENANT_HEALTHY: u32 = 0;
 const STORM_TENANT_FLAKY: u32 = 1;
@@ -235,7 +207,7 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 /// timing-dependent latency numbers) and the deterministic report.
 pub fn storm(seed: u64, workers: usize) -> (String, StormReport) {
     use std::fmt::Write as _;
-    let grid = bench4_grid(1);
+    let grid = bench_grid(1);
     let n = grid.world_size();
     let bytes = 64u64;
     let svc = Service::new(ServiceConfig {
@@ -424,212 +396,6 @@ pub fn storm(seed: u64, workers: usize) -> (String, StormReport) {
     (out, report)
 }
 
-/// One overload policy's goodput measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench8Cell {
-    pub policy: String,
-    /// Jobs offered to the overloaded service.
-    pub offered: u64,
-    /// Jobs that completed successfully.
-    pub completed: u64,
-    /// Jobs refused (rejected or shed) by overload control.
-    pub refused: u64,
-    /// Completed jobs per second of wall clock.
-    pub goodput_jobs_per_sec: f64,
-    /// `goodput / warm_jobs_per_sec`.
-    pub goodput_over_warm: f64,
-}
-
-/// The BENCH_8 report: uncontended warm rate vs goodput under overload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bench8Report {
-    pub nodes: usize,
-    pub ppn: usize,
-    pub ranks: usize,
-    pub workers: usize,
-    pub tenants: u32,
-    /// Admission-queue capacity of the overloaded services.
-    pub queue_capacity: usize,
-    /// Reference rate: default (uncontended) service on the same host.
-    pub warm_jobs_per_sec: f64,
-    pub cells: Vec<Bench8Cell>,
-}
-
-impl Bench8Report {
-    pub fn table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# BENCH_8: goodput under overload ({} ranks, {} workers, queue {}, warm {:.0} jobs/s)",
-            self.ranks, self.workers, self.queue_capacity, self.warm_jobs_per_sec
-        );
-        let _ = writeln!(
-            out,
-            "{:<10} {:>8} {:>10} {:>8} {:>13} {:>10}",
-            "policy", "offered", "completed", "refused", "goodput j/s", "vs warm"
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                out,
-                "{:<10} {:>8} {:>10} {:>8} {:>13.0} {:>9.2}x",
-                c.policy,
-                c.offered,
-                c.completed,
-                c.refused,
-                c.goodput_jobs_per_sec,
-                c.goodput_over_warm
-            );
-        }
-        let _ = writeln!(
-            out,
-            "geomean goodput/warm: {:.2}x (floor {:.1}x), min {:.2}x",
-            self.geomean_goodput_over_warm(),
-            OVERLOAD_FLOOR,
-            self.min_goodput_over_warm()
-        );
-        out
-    }
-
-    /// The worst policy's warm-normalized goodput (0.0 if empty).
-    pub fn min_goodput_over_warm(&self) -> f64 {
-        self.cells
-            .iter()
-            .map(|c| c.goodput_over_warm)
-            .fold(f64::NAN, f64::min)
-            .max(0.0)
-    }
-
-    /// Whether the policy sweep clears the baseline-independent floor.
-    pub fn meets_floor(&self) -> bool {
-        self.geomean_goodput_over_warm() >= OVERLOAD_FLOOR
-    }
-
-    /// Geomean warm-normalized goodput across policies.
-    pub fn geomean_goodput_over_warm(&self) -> f64 {
-        if self.cells.is_empty() {
-            return 0.0;
-        }
-        let log_sum: f64 = self.cells.iter().map(|c| c.goodput_over_warm.ln()).sum();
-        (log_sum / self.cells.len() as f64).exp()
-    }
-
-    /// Baseline gate, geomean-only like BENCH_7's (absolute jobs/sec are
-    /// host-bound; the warm-normalized ratio is portable). Returns the
-    /// offending `(scope, ratio)` rows.
-    pub fn regressions_against(&self, baseline: &Bench8Report) -> Vec<(String, f64)> {
-        let mut bad = Vec::new();
-        let base = baseline.geomean_goodput_over_warm();
-        if base > 0.0 {
-            let ratio = self.geomean_goodput_over_warm() / base;
-            if ratio < BENCH8_REGRESSION_FLOOR {
-                bad.push(("geomean".to_string(), ratio));
-            }
-        }
-        bad
-    }
-}
-
-/// Submit `burst` jobs as fast as possible and wait for all handles.
-/// Returns `(completed, refused, elapsed)`; any error that is not an
-/// overload refusal panics — goodput of broken jobs is meaningless.
-fn overload_burst(
-    svc: &Service,
-    grid: &a2a_topo::ProcGrid,
-    tenants: u32,
-    burst: u64,
-) -> (u64, u64, Duration) {
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..burst)
-        .map(|i| {
-            svc.submit(
-                &PairwiseAlltoall,
-                grid,
-                JobSpec::new(i as u32 % tenants, 64),
-            )
-        })
-        .collect();
-    let mut completed = 0u64;
-    let mut refused = 0u64;
-    for h in &handles {
-        match h.wait() {
-            Ok(_) => completed += 1,
-            Err(JobError::ServiceOverloaded { .. }) => refused += 1,
-            Err(e) => panic!("bench8 job failed outside overload control: {e}"),
-        }
-    }
-    (completed, refused, t0.elapsed())
-}
-
-/// Measure goodput under every overload policy against the uncontended
-/// warm rate on the same host and CPU budget.
-pub fn bench8(nodes: usize, workers: usize, tenants: u32) -> Bench8Report {
-    let grid = bench4_grid(nodes);
-    let tenants = tenants.max(1);
-    let workers = workers.max(1);
-    const QUEUE: usize = 32;
-
-    // Uncontended reference: default deep queue, same worker budget.
-    let warm = Service::new(ServiceConfig {
-        workers,
-        ..ServiceConfig::default()
-    });
-    // Size the burst so one takes roughly 120 ms at the warm rate.
-    let (probe_done, _, probe_t) = overload_burst(&warm, &grid, tenants, 8);
-    let per_job = (probe_t / probe_done.max(1) as u32).max(Duration::from_micros(5));
-    let burst = (0.12 / per_job.as_secs_f64()).clamp(64.0, 4000.0) as u64;
-    let mut warm_rate = 0.0_f64;
-    for _ in 0..3 {
-        let (done, _, t) = overload_burst(&warm, &grid, tenants, burst);
-        warm_rate = warm_rate.max(done as f64 / t.as_secs_f64());
-    }
-
-    // Overloaded runs: a queue far smaller than the burst, so every
-    // policy's overload path is genuinely exercised.
-    let cells = [
-        OverloadPolicy::Block,
-        OverloadPolicy::Reject,
-        OverloadPolicy::ShedOldest,
-    ]
-    .into_iter()
-    .map(|policy| {
-        let svc = Service::new(ServiceConfig {
-            workers,
-            queue_capacity: QUEUE,
-            overload: policy,
-            ..ServiceConfig::default()
-        });
-        let mut best = 0.0_f64;
-        let (mut completed, mut refused) = (0u64, 0u64);
-        for _ in 0..3 {
-            let (done, refd, t) = overload_burst(&svc, &grid, tenants, burst);
-            completed += done;
-            refused += refd;
-            best = best.max(done as f64 / t.as_secs_f64());
-        }
-        Bench8Cell {
-            policy: format!("{policy:?}"),
-            offered: 3 * burst,
-            completed,
-            refused,
-            goodput_jobs_per_sec: best,
-            goodput_over_warm: best / warm_rate,
-        }
-    })
-    .collect();
-
-    Bench8Report {
-        nodes,
-        ppn: grid.machine().ppn(),
-        ranks: grid.world_size(),
-        workers,
-        tenants,
-        queue_capacity: QUEUE,
-        warm_jobs_per_sec: warm_rate,
-        cells,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -664,25 +430,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_ne!(outcomes(&a), outcomes(&b), "seeds must decorrelate");
-    }
-
-    #[test]
-    fn bench8_exercises_overload_and_meets_the_floor() {
-        let report = bench8(1, 2, 3);
-        assert_eq!(report.cells.len(), 3);
-        let reject = report.cells.iter().find(|c| c.policy == "Reject").unwrap();
-        assert!(reject.refused > 0, "burst must overflow the tiny queue");
-        let block = report.cells.iter().find(|c| c.policy == "Block").unwrap();
-        assert_eq!(block.refused, 0, "blocking backpressure refuses nothing");
-        assert!(
-            report.meets_floor(),
-            "goodput under overload below {OVERLOAD_FLOOR}x warm:\n{}",
-            report.table()
-        );
-        // Round-trip like the other BENCH_N reports.
-        let json = serde_json::to_string_pretty(&report).unwrap();
-        let back: Bench8Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.cells.len(), 3);
-        assert!(back.regressions_against(&report).is_empty());
     }
 }

@@ -32,8 +32,7 @@ use a2a_testutil::{FixedSchedule, Mutation, Rng};
 use a2a_topo::{Machine, ProcGrid};
 use serde::{Deserialize, Serialize};
 
-use crate::harness::{machine_for, DEFAULT_SIZES};
-use crate::throughput::{bench4_grid, bench4_roster};
+use crate::harness::{bench_grid, bench_roster, machine_for, DEFAULT_SIZES};
 
 /// Declared tightness factor: on every roster cell the zero-jitter DES
 /// makespan must sit within this multiple of the static critical-path
@@ -210,7 +209,7 @@ impl VerifyReport {
 /// is paired with its simulator cost model (the bench grid borrows
 /// Dane's).
 fn verify_grids(nodes: usize) -> Vec<(String, ProcGrid)> {
-    let mut grids = vec![("bench".to_string(), bench4_grid(nodes))];
+    let mut grids = vec![("bench".to_string(), bench_grid(nodes))];
     for name in ["dane", "amber", "tuolumne"] {
         grids.push((
             name.to_string(),
@@ -336,7 +335,7 @@ fn mutation_bases() -> (ProcGrid, u64, Vec<(String, FixedSchedule)>) {
     let grid = ProcGrid::new(Machine::custom("mut", 2, 1, 1, 2));
     let block: u64 = 8;
     let algos = ["pairwise", "nonblocking", "bruck"];
-    let roster = bench4_roster();
+    let roster = bench_roster();
     let bases = roster
         .iter()
         .filter(|a| algos.contains(&a.name().as_str()))
@@ -406,7 +405,7 @@ pub fn verify_roster(nodes: usize, seed: u64, cfg: &LintConfig) -> VerifyReport 
             cfg,
             seed,
         };
-        for algo in bench4_roster() {
+        for algo in bench_roster() {
             for &bytes in &DEFAULT_SIZES {
                 let sched = AlgoSchedule::new(algo.as_ref(), A2AContext::new(grid.clone(), bytes));
                 let spec = SemanticsSpec::alltoall(n, bytes);

@@ -45,7 +45,7 @@ pub(crate) fn link_floors(grid: &ProcGrid, model: &CostModel, perturb: &Perturb)
 }
 
 /// Statistics from a sharded run, surfaced through
-/// [`crate::simulate_sharded_stats`] and the `repro bench6` harness.
+/// [`crate::simulate_sharded_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShardStats {
     /// Shards the node range was partitioned into (= worker threads used).

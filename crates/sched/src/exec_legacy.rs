@@ -1,15 +1,12 @@
-//! The pre-fast-path data executor, preserved as a measurable baseline.
+//! The pre-fast-path data executor, preserved as the reference.
 //!
 //! [`LegacyDataExecutor`] is the original sequential oracle: it clones each
 //! rank's program, allocates a fresh `Vec<u8>` per message, and keys
 //! mailboxes by `HashMap<(from, to, tag)>`. The rewritten executor in
 //! [`crate::exec`] replaces all three with borrowed programs, an arena +
-//! message pool, and a dense mailbox table. Keeping this version compiled
-//! serves two purposes:
-//!
-//! * the bench harness runs both paths in the same process and reports the
-//!   speedup in `BENCH_4.json`;
-//! * a differential test pins the fast path byte-identical to this one.
+//! message pool, and a dense mailbox table. This version stays compiled
+//! because a differential test (`tests/zero_copy_fastpath.rs`) pins the
+//! fast path byte-identical to it.
 //!
 //! Semantics are identical to the fast path by construction; do not "fix"
 //! or optimise this file — it is the reference.

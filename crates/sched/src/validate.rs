@@ -339,28 +339,33 @@ pub fn validate(
             stats.max_internode_sends_per_rank.max(internode_sends);
     }
 
-    for ((from, to, tag), (sends, recvs)) in &matching {
+    // Report the smallest failing channel, so the error is a function of
+    // the schedule and not of `HashMap` iteration order.
+    let failed = matching
+        .iter()
+        .filter(|(_, (sends, recvs))| sends != recvs)
+        .min_by_key(|(key, _)| **key);
+    if let Some((&(from, to, tag), (sends, recvs))) = failed {
         if sends.len() != recvs.len() {
             return Err(ValidationError::MatchFailure {
-                from: *from,
-                to: *to,
-                tag: *tag,
+                from,
+                to,
+                tag,
                 sends: sends.len(),
                 recvs: recvs.len(),
             });
         }
-        for (i, (s, r)) in sends.iter().zip(recvs).enumerate() {
-            if s != r {
-                return Err(ValidationError::MatchLengthFailure {
-                    from: *from,
-                    to: *to,
-                    tag: *tag,
-                    index: i,
-                    send_len: *s,
-                    recv_len: *r,
-                });
-            }
-        }
+        let index = (0..sends.len())
+            .find(|&i| sends[i] != recvs[i])
+            .expect("equal-length ledgers that differ have a differing entry");
+        return Err(ValidationError::MatchLengthFailure {
+            from,
+            to,
+            tag,
+            index,
+            send_len: sends[index],
+            recv_len: recvs[index],
+        });
     }
 
     Ok(stats)
@@ -451,6 +456,26 @@ mod tests {
                 recvs: 0,
                 ..
             })
+        ));
+    }
+
+    #[test]
+    fn several_broken_channels_report_the_smallest_every_time() {
+        let g = ProcGrid::new(a2a_topo::Machine::custom("t", 1, 1, 1, 4));
+        let mut b0 = ProgBuilder::new(Phase(0));
+        for to in [3, 1, 2] {
+            b0.send(to, Block::new(SBUF, 0, 8), 0);
+        }
+        let mut progs = vec![RankProgram::default(); 4];
+        progs[0] = b0.finish();
+        let f = Fixed { progs, bufsize: 8 };
+        let messages: std::collections::BTreeSet<String> = (0..64)
+            .map(|_| validate(&f, &g).unwrap_err().to_string())
+            .collect();
+        assert_eq!(messages.len(), 1, "{messages:?}");
+        assert!(matches!(
+            validate(&f, &g),
+            Err(ValidationError::MatchFailure { from: 0, to: 1, .. })
         ));
     }
 

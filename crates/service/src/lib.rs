@@ -861,8 +861,8 @@ mod tests {
         }
     }
 
-    /// The BENCH_4 roster, rebuilt locally (the bench crate depends on
-    /// this one, so it cannot be imported here).
+    /// The bench crate's 4-ppn roster, rebuilt locally (that crate depends
+    /// on this one, so it cannot be imported here).
     fn roster() -> Vec<Box<dyn AlltoallAlgorithm>> {
         vec![
             Box::new(PairwiseAlltoall),
