@@ -67,6 +67,29 @@ fn table1(cfg: &RunConfig) -> String {
     out
 }
 
+/// A bad command line: one line on stderr, exit status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The argument after option `name`.
+fn value(name: &str, args: &mut std::slice::Iter<String>) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("missing value for {name}")))
+        .clone()
+}
+
+/// The argument after the numeric option `name`, parsed.
+fn number<T: std::str::FromStr>(name: &str, args: &mut std::slice::Iter<String>) -> T {
+    let text = value(name, args);
+    text.parse().unwrap_or_else(|_| {
+        usage_error(&format!(
+            "{name}: expected a non-negative integer, got {text:?}"
+        ))
+    })
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut figures: Vec<String> = Vec::new();
@@ -81,37 +104,45 @@ fn main() -> ExitCode {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {name}");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
         match arg.as_str() {
             "--nodes" => {
-                cfg.nodes = value("--nodes").parse().expect("--nodes: integer");
+                cfg.nodes = number("--nodes", &mut it);
                 if cfg.nodes == 0 {
-                    eprintln!("--nodes must be at least 1");
-                    return ExitCode::from(2);
+                    usage_error("--nodes must be at least 1");
                 }
                 nodes_set = true;
             }
-            "--machine" => cfg.machine = value("--machine"),
-            "--runs" => cfg.runs = value("--runs").parse().expect("--runs: integer"),
-            "--seed" => cfg.seed = value("--seed").parse().expect("--seed: integer"),
-            "--scale" => cfg.full_scale = value("--scale") == "full",
-            "--workers" => cfg.workers = value("--workers").parse().expect("--workers: integer"),
-            "--out" => out_dir = PathBuf::from(value("--out")),
+            "--machine" => cfg.machine = value("--machine", &mut it),
+            "--runs" => {
+                cfg.runs = number("--runs", &mut it);
+                if cfg.runs == 0 {
+                    usage_error("--runs must be at least 1");
+                }
+            }
+            "--seed" => cfg.seed = number("--seed", &mut it),
+            "--scale" => {
+                cfg.full_scale = match value("--scale", &mut it).as_str() {
+                    "full" => true,
+                    "small" => false,
+                    other => {
+                        usage_error(&format!("--scale: expected full or small, got {other:?}"))
+                    }
+                }
+            }
+            "--workers" => cfg.workers = number("--workers", &mut it),
+            "--out" => out_dir = PathBuf::from(value("--out", &mut it)),
             "--deny" => {
-                let what = value("--deny");
-                assert_eq!(what, "warnings", "--deny: only `warnings` is understood");
+                let what = value("--deny", &mut it);
+                if what != "warnings" {
+                    usage_error(&format!(
+                        "--deny: only `warnings` is understood, got {what:?}"
+                    ));
+                }
                 deny_warnings = true;
             }
-            "--window" => lint_window = value("--window").parse().expect("--window: integer"),
-            "--jobs" => serve_jobs = value("--jobs").parse().expect("--jobs: integer"),
-            "--tenants" => tenants = value("--tenants").parse().expect("--tenants: integer"),
+            "--window" => lint_window = number("--window", &mut it),
+            "--jobs" => serve_jobs = number("--jobs", &mut it),
+            "--tenants" => tenants = number("--tenants", &mut it),
             // `lint`/`verify` sweep every preset already; `--all` is
             // accepted for symmetry with `repro all` and in CI invocations.
             "--all" => {}
@@ -134,10 +165,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             f if known_figures().contains(&f) => figures.push(f.to_string()),
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                return ExitCode::from(2);
-            }
+            other => usage_error(&format!("unknown argument {other:?}; try --help")),
         }
     }
     if figures.is_empty() && !want_table1 {

@@ -33,7 +33,6 @@
 //!   posted-queue depth — the costs that penalize huge non-blocking
 //!   windows at scale.
 
-use std::cmp::Reverse;
 use std::sync::atomic::Ordering;
 
 use a2a_sched::ScheduleSource;
@@ -166,14 +165,8 @@ pub fn simulate_perturbed(
     perturb: &Perturb,
 ) -> Result<SimReport, SimError> {
     let (phase_names, nphases) = phase_meta(source, grid);
-    let ctx = Ctx {
-        grid,
-        model,
-        perturb,
-        jitter: opts.jitter,
-        nphases,
-    };
-    let mut shard = Shard::build(&ctx, 0, 0, grid.machine().nodes, source, opts.seed);
+    let ctx = Ctx::new(grid, model, perturb, opts.jitter, nphases);
+    let mut shard = Shard::build(&ctx, 0, 0, ctx.nodes(), source, opts.seed);
     run_single(&mut shard);
     assemble(&[shard], phase_names, nphases)
 }
@@ -214,14 +207,8 @@ pub fn simulate_sharded_stats(
     sopts: &ShardOptions,
 ) -> Result<(SimReport, ShardStats), SimError> {
     let (phase_names, nphases) = phase_meta(source, grid);
-    let ctx = Ctx {
-        grid,
-        model,
-        perturb,
-        jitter: opts.jitter,
-        nphases,
-    };
-    let nodes = grid.machine().nodes;
+    let ctx = Ctx::new(grid, model, perturb, opts.jitter, nphases);
+    let nodes = ctx.nodes();
     let requested = if sopts.workers == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -274,7 +261,7 @@ pub fn simulate_sharded_stats(
                     let mut shard = Shard::build(ctx_ref, id, lo, hi, source, opts.seed);
                     sync_ref
                         .pending
-                        .fetch_add(shard.seeded_events() as i64, Ordering::SeqCst);
+                        .fetch_add(shard.queued() as i64, Ordering::SeqCst);
                     sync_ref.ready(id);
                     run_worker(&mut shard, sync_ref);
                     shard
@@ -305,10 +292,8 @@ fn phase_meta(source: &dyn ScheduleSource, grid: &ProcGrid) -> (Vec<String>, usi
 /// Sequential driver: one shard owns everything, no synchronization.
 fn run_single(shard: &mut Shard) {
     let mut out = Vec::new();
-    while let Some(Reverse(ev)) = shard.heap.pop() {
-        shard.handle(ev, &mut out);
-        debug_assert!(out.is_empty(), "single shard emitted cross-shard event");
-    }
+    shard.run_until(f64::INFINITY, &mut out);
+    debug_assert!(out.is_empty(), "single shard emitted cross-shard event");
 }
 
 /// Conservative parallel worker: advance barrier-free behind the lookahead
@@ -330,46 +315,33 @@ fn run_worker(shard: &mut Shard, sync: &ShardSync) {
         let mut drained = false;
         for ev in sync.take_inbox(s) {
             drained = true;
-            if shard.last_key.is_some_and(|last| ev.key < last) {
-                shard.violations += 1;
-            }
-            shard.heap.push(Reverse(ev));
+            shard.accept(ev);
         }
 
-        let mut processed: i64 = 0;
-        let mut emitted: i64 = 0;
-        while shard.heap.peek().is_some_and(|Reverse(ev)| ev.key.time < h) {
-            let Reverse(ev) = shard.heap.pop().unwrap();
-            shard.last_key = Some(ev.key);
-            let local_before = shard.heap.len();
-            shard.handle(ev, &mut out);
-            emitted += (shard.heap.len() - local_before) as i64 + out.len() as i64;
-            processed += 1;
-            if !out.is_empty() {
-                sync.cross_events
-                    .fetch_add(out.len() as u64, Ordering::Relaxed);
-                for e in out.drain(..) {
-                    let dn = shard.ctx.grid.node_of(e.dest_rank());
-                    sync.push_cross(dn, e);
-                }
+        let queued = shard.queued() as i64;
+        let processed = shard.run_until(h, &mut out);
+
+        // One atomic delta per batch — events it created minus events it
+        // consumed — keeps the live-event counter exact. It is applied
+        // before the batch's cross-shard events are handed over, so a peer
+        // can never consume (and subtract) an event not yet counted.
+        let delta = shard.queued() as i64 - queued + out.len() as i64;
+        if delta != 0 {
+            sync.pending.fetch_add(delta, Ordering::SeqCst);
+        }
+        if !out.is_empty() {
+            sync.cross_events
+                .fetch_add(out.len() as u64, Ordering::Relaxed);
+            for e in out.drain(..) {
+                sync.push_cross(shard.ctx.node_of(e.dest_rank()), e);
             }
         }
 
         // Publish the guarantee *after* flushing every emission above:
-        // nothing this shard ever processes — current heap, or future
+        // nothing this shard ever processes — current queues, or future
         // arrivals (all >= h by the lookahead argument) — sits below it.
-        let local_min = shard
-            .heap
-            .peek()
-            .map_or(f64::INFINITY, |Reverse(ev)| ev.key.time);
-        sync.publish(s, local_min.min(h));
+        sync.publish(s, shard.next_time().min(h));
 
-        // One atomic delta per batch keeps the live-event counter exact:
-        // it cannot read zero while any batch still has unapplied work.
-        if processed != 0 || emitted != 0 {
-            sync.pending
-                .fetch_add(emitted - processed, Ordering::SeqCst);
-        }
         if sync.all_ready() && sync.pending.load(Ordering::SeqCst) == 0 {
             break;
         }

@@ -42,7 +42,6 @@
 
 pub mod analytic;
 pub mod engine;
-mod fastmap;
 mod horizon;
 pub mod model;
 pub mod models;

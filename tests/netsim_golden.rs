@@ -31,18 +31,8 @@ struct Golden {
     events: u64,
 }
 
-const ALGOS: [&str; 8] = [
-    "pairwise",
-    "nonblocking",
-    "bruck",
-    "hierarchical",
-    "node-aware",
-    "locality-aware",
-    "ml-node-aware",
-    "mpich-shm",
-];
-
-/// The paper's eight-algorithm roster, group sizes dividing 8 ppn.
+/// The paper's eight-algorithm roster, group sizes dividing 8 ppn;
+/// `Golden::algo` indexes it.
 fn roster() -> Vec<Box<dyn AlltoallAlgorithm>> {
     vec![
         Box::new(PairwiseAlltoall),
@@ -98,7 +88,7 @@ fn observe(case: &'static str, algo: usize, bytes: u64) -> Golden {
     let (opts, perturb) = conditions(case);
     let algos = roster();
     let sched = AlgoSchedule::new(algos[algo].as_ref(), A2AContext::new(grid.clone(), bytes));
-    let what = format!("{case}/{}/{bytes}", ALGOS[algo]);
+    let what = format!("{case}/{}/{bytes}", algos[algo].name());
     let rep = simulate_perturbed(&sched, &grid, &model, &opts, &perturb)
         .unwrap_or_else(|e| panic!("{what}: {e}"));
     let (counted, stats) = simulate_sharded_stats(
@@ -138,17 +128,14 @@ fn row(g: &Golden) -> String {
 
 #[test]
 fn simulated_values_match_the_recorded_bits() {
+    let algos = 0..roster().len();
     let mut cells = Vec::new();
-    for algo in 0..ALGOS.len() {
+    for algo in algos.clone() {
         cells.push(("exact", algo, 64));
         cells.push(("exact", algo, 4096));
     }
-    for algo in 0..ALGOS.len() {
-        cells.push(("jitter", algo, 16 * 1024));
-    }
-    for algo in 0..ALGOS.len() {
-        cells.push(("perturb", algo, 128 * 1024));
-    }
+    cells.extend(algos.clone().map(|algo| ("jitter", algo, 16 * 1024)));
+    cells.extend(algos.map(|algo| ("perturb", algo, 128 * 1024)));
     let seen: Vec<Golden> = cells
         .into_iter()
         .map(|(case, algo, bytes)| observe(case, algo, bytes))
