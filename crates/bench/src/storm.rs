@@ -8,7 +8,7 @@
 //!   the control group whose latency distribution shows what the storm
 //!   costs bystanders.
 //! * **flaky** — the [`StormProfile::flaky`] ramp (drops 5% → 15% → 30%
-//!   + corruption, then stragglers), alternating between the parallel
+//!   plus corruption, then stragglers), alternating between the parallel
 //!   engine (whose retransmit layer absorbs per-packet faults) and the
 //!   sequential engine (no retransmit, so drops surface as transient
 //!   job failures and exercise the service-level retry path).

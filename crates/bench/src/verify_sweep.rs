@@ -24,10 +24,10 @@ use std::sync::Arc;
 
 use a2a_core::alltoallv::{CountsFn, VContext, VSchedule};
 use a2a_core::{A2AContext, AlgoSchedule};
-use a2a_lint::{analyze_schedule, lint_schedule, LintConfig, LintReport};
+use a2a_lint::{analyze_matched, analyze_schedule, lint_schedule, LintConfig, LintReport};
 use a2a_netsim::{crit_params, models, simulate, SimOptions};
 use a2a_sched::analysis::{critical_path, SemanticsSpec};
-use a2a_sched::ScheduleSource;
+use a2a_sched::{Matched, ScheduleSource};
 use a2a_testutil::{FixedSchedule, Mutation, Rng};
 use a2a_topo::{Machine, ProcGrid};
 use serde::{Deserialize, Serialize};
@@ -272,13 +272,21 @@ impl CellCtx<'_> {
         findings: &mut Vec<String>,
     ) -> VerifyCell {
         let label = format!("{} {algo} n={}", self.machine, self.grid.world_size());
-        let report = analyze_schedule(&label, source, self.grid, self.cfg, Some(spec));
+        let model = models::for_machine(self.machine);
+        // One table for the analyzer and the bound: the cell's programs are
+        // generated and matched once, and freed before the simulator lowers
+        // its own copy.
+        let (report, crit) = {
+            let matched = Matched::build(source)
+                .unwrap_or_else(|e| panic!("{label}: malformed schedule: {e}"));
+            (
+                analyze_matched(&label, &matched, self.cfg, Some(spec)),
+                critical_path(&matched, self.grid, &crit_params(&model), 1),
+            )
+        };
         if !report.is_clean() {
             findings.push(report.render_text());
         }
-
-        let model = models::for_machine(self.machine);
-        let crit = critical_path(source, self.grid, &crit_params(&model), 1);
         let opts = SimOptions {
             jitter: 0.0,
             seed: self.seed,

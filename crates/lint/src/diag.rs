@@ -167,6 +167,10 @@ impl Diagnostic {
     }
 }
 
+/// The per-code finding cap of every analysis entry point
+/// ([`LintReport::cap_per_code`]).
+pub(crate) const MAX_DIAGS_PER_CODE: usize = 16;
+
 /// All findings for one linted schedule.
 #[derive(Debug, Clone, Default)]
 pub struct LintReport {

@@ -61,4 +61,4 @@ pub mod prove;
 
 pub use diag::{Code, Diagnostic, LintReport, Severity};
 pub use passes::{lint_schedule, LintConfig};
-pub use prove::{analyze_schedule, issue_code, prove_pass};
+pub use prove::{analyze_matched, analyze_schedule, issue_code, prove_matched, prove_pass};

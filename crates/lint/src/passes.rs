@@ -9,10 +9,10 @@
 use std::collections::HashSet;
 
 use a2a_sched::analysis::{build_wait_graph, find_cycle, Blocker, InFlight, PendingOp, SendMode};
-use a2a_sched::{validate, Op, RankProgram, ScheduleSource};
+use a2a_sched::{Matched, Op, RankProgram, ScheduleSource, ValidationError};
 use a2a_topo::ProcGrid;
 
-use crate::diag::{Code, Diagnostic, LintReport};
+use crate::diag::{Code, Diagnostic, LintReport, MAX_DIAGS_PER_CODE};
 
 /// Knobs for [`lint_schedule`].
 #[derive(Debug, Clone)]
@@ -23,8 +23,6 @@ pub struct LintConfig {
     /// Maximum simultaneously pending sends to one destination before
     /// `A2A005` fires.
     pub send_window: usize,
-    /// Per-code finding cap ([`LintReport::cap_per_code`]).
-    pub max_diags_per_code: usize,
 }
 
 impl Default for LintConfig {
@@ -32,49 +30,72 @@ impl Default for LintConfig {
         LintConfig {
             rendezvous: true,
             send_window: 32,
-            max_diags_per_code: 16,
         }
     }
 }
 
-/// Run every pass over `source` and collect findings.
+/// Pass 0 of the entry points that map a source onto a grid: the world-size
+/// check, then structural validation, whose product is the matched schedule
+/// all other passes read.
+pub(crate) fn match_schedule<'a>(
+    source: &'a dyn ScheduleSource,
+    grid: &ProcGrid,
+) -> Result<Matched<'a>, ValidationError> {
+    if source.nranks() != grid.world_size() {
+        return Err(ValidationError::WorldSizeMismatch {
+            schedule: source.nranks(),
+            grid: grid.world_size(),
+        });
+    }
+    Matched::build(source)
+}
+
+/// The report of a schedule that failed pass 0. A malformed schedule makes
+/// the other passes meaningless (unmatched messages, double-posted
+/// requests), so its one `A2A000` finding is the whole report.
+pub(crate) fn malformed(label: impl Into<String>, e: &ValidationError) -> LintReport {
+    let mut report = LintReport::new(label);
+    report.push(Diagnostic::new(Code::Malformed, e.to_string()));
+    report
+}
+
+/// Run every safety pass over `source` and collect findings.
 pub fn lint_schedule(
     label: impl Into<String>,
     source: &dyn ScheduleSource,
     grid: &ProcGrid,
     cfg: &LintConfig,
 ) -> LintReport {
+    match match_schedule(source, grid) {
+        Ok(matched) => safety_passes(label, &matched, cfg),
+        Err(e) => malformed(label, &e),
+    }
+}
+
+/// The safety passes (`A2A001`–`A2A006`) over a matched schedule, findings
+/// in pass order.
+pub(crate) fn safety_passes(
+    label: impl Into<String>,
+    m: &Matched<'_>,
+    cfg: &LintConfig,
+) -> LintReport {
     let mut report = LintReport::new(label);
-
-    // Pass 0: structural validation. A malformed schedule makes the other
-    // passes meaningless (unmatched messages, double-posted requests), so
-    // report and stop.
-    if let Err(e) = validate(source, grid) {
-        report.push(Diagnostic::new(Code::Malformed, e.to_string()));
-        return report;
+    deadlock_pass(m, cfg, &mut report);
+    for rank in 0..m.nranks() as u32 {
+        rank_local_pass(rank, m.prog(rank), cfg, &mut report);
     }
-
-    let progs: Vec<RankProgram> = (0..source.nranks() as u32)
-        .map(|r| source.build_rank(r))
-        .collect();
-
-    deadlock_pass(&progs, cfg, &mut report);
-    for (rank, prog) in progs.iter().enumerate() {
-        rank_local_pass(rank as u32, prog, cfg, &mut report);
-    }
-
-    report.cap_per_code(cfg.max_diags_per_code);
+    report.cap_per_code(MAX_DIAGS_PER_CODE);
     report
 }
 
 /// Pass 1: cycle in the cross-rank wait-for graph (`A2A001`).
-fn deadlock_pass(progs: &[RankProgram], cfg: &LintConfig, report: &mut LintReport) {
+fn deadlock_pass(m: &Matched<'_>, cfg: &LintConfig, report: &mut LintReport) {
     let mode = if cfg.rendezvous {
         SendMode::Rendezvous
     } else {
         SendMode::Eager
     };
-    let g = build_wait_graph(progs, mode);
+    let g = build_wait_graph(m, mode);
     let Some(cycle) = find_cycle(&g) else {
         return;
     };

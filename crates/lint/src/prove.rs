@@ -18,11 +18,11 @@
 //! verdicts and JSON output — is byte-stable regardless of pass order.
 
 use a2a_sched::analysis::provenance::{prove_schedule, ProveIssue, SemanticsSpec};
-use a2a_sched::ScheduleSource;
+use a2a_sched::{Matched, ScheduleSource};
 use a2a_topo::ProcGrid;
 
-use crate::diag::{Code, Diagnostic, LintReport};
-use crate::passes::{lint_schedule, LintConfig};
+use crate::diag::{Code, Diagnostic, LintReport, MAX_DIAGS_PER_CODE};
+use crate::passes::{malformed, match_schedule, safety_passes, LintConfig};
 
 /// Map a prover issue class onto its stable lint code.
 pub fn issue_code(issue: ProveIssue) -> Code {
@@ -36,15 +36,29 @@ pub fn issue_code(issue: ProveIssue) -> Code {
 
 /// Run only the semantics prover and report its findings (`A2A007`–
 /// `A2A010`). The stream is canonicalized but not capped; callers that
-/// want the full merged report should use [`analyze_schedule`].
+/// want the full merged report should use [`analyze_schedule`]. A source
+/// that fails structural validation is not proved: symbolic execution of
+/// a malformed schedule would be meaningless, so the report is its one
+/// `A2A000` finding.
 pub fn prove_pass(
     label: impl Into<String>,
     source: &dyn ScheduleSource,
     spec: &SemanticsSpec,
 ) -> LintReport {
+    match Matched::build(source) {
+        Ok(matched) => prove_matched(label, &matched, spec),
+        Err(e) => malformed(label, &e),
+    }
+}
+
+/// [`prove_pass`] over an already matched schedule.
+pub fn prove_matched(
+    label: impl Into<String>,
+    m: &Matched<'_>,
+    spec: &SemanticsSpec,
+) -> LintReport {
     let mut report = LintReport::new(label);
-    let prove = prove_schedule(source, spec);
-    for f in prove.findings {
+    for f in prove_schedule(m, spec).findings {
         let mut d = Diagnostic::new(issue_code(f.issue), f.message);
         d.rank = Some(f.rank);
         d.op = f.op;
@@ -59,10 +73,12 @@ pub fn prove_pass(
 
 /// Full static analysis: every safety pass plus — when a semantics spec is
 /// declared — the dataflow prover, merged into one deterministic report.
+/// The schedule is built and matched once and every pass reads that table.
 ///
-/// A schedule that fails structural validation (`A2A000`) is not proved:
-/// the safety report short-circuits exactly as [`lint_schedule`] does, and
-/// symbolic execution of a malformed schedule would be meaningless.
+/// A schedule that fails structural validation (`A2A000`) is not analyzed
+/// further: the report short-circuits exactly as [`lint_schedule`]'s does.
+///
+/// [`lint_schedule`]: crate::lint_schedule
 pub fn analyze_schedule(
     label: impl Into<String>,
     source: &dyn ScheduleSource,
@@ -70,16 +86,28 @@ pub fn analyze_schedule(
     cfg: &LintConfig,
     spec: Option<&SemanticsSpec>,
 ) -> LintReport {
-    let mut report = lint_schedule(label, source, grid, cfg);
-    if report.has(Code::Malformed) {
-        return report;
+    match match_schedule(source, grid) {
+        Ok(matched) => analyze_matched(label, &matched, cfg, spec),
+        Err(e) => malformed(label, &e),
     }
+}
+
+/// [`analyze_schedule`] over an already matched schedule, for callers that
+/// run further analyses over the same table or time the passes apart
+/// (`spec: None` is the safety passes alone, canonically sorted).
+pub fn analyze_matched(
+    label: impl Into<String>,
+    m: &Matched<'_>,
+    cfg: &LintConfig,
+    spec: Option<&SemanticsSpec>,
+) -> LintReport {
+    let mut report = safety_passes(label, m, cfg);
     if let Some(spec) = spec {
-        let semantic = prove_pass(report.label.clone(), source, spec);
+        let semantic = prove_matched(report.label.clone(), m, spec);
         report.diags.extend(semantic.diags);
     }
     report.sort_dedup();
-    report.cap_per_code(cfg.max_diags_per_code);
+    report.cap_per_code(MAX_DIAGS_PER_CODE);
     report
 }
 

@@ -279,7 +279,8 @@ mod tests {
         for s in [16u64, 1024, 65536] {
             let algo = a2a_core::PairwiseAlltoall;
             let sched = AlgoSchedule::new(&algo, A2AContext::new(grid.clone(), s));
-            let stat = critical_path(&sched, &grid, &params, 1);
+            let matched = a2a_sched::Matched::build(&sched).unwrap();
+            let stat = critical_path(&matched, &grid, &params, 1);
             let sim = simulate(&sched, &grid, &model, &SimOptions::default())
                 .unwrap()
                 .total_us;

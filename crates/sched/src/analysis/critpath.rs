@@ -22,12 +22,10 @@
 //! same three-way attribution as the paper's phase breakdowns — and yields
 //! the top-k critical chains for diagnosis.
 
-use std::collections::HashMap;
-
 use a2a_topo::{Level, ProcGrid, Rank};
 
-use crate::ir::{Bytes, Op, RankProgram};
-use crate::ScheduleSource;
+use crate::ir::{Bytes, Op};
+use crate::validate::Matched;
 
 /// Cost parameters for the static model. Mirrors the subset of the
 /// simulator's cost model that forms a guaranteed lower bound; build one
@@ -138,34 +136,31 @@ struct CritDep {
     wire_us: f64,
 }
 
-enum PendingReq {
-    Done,
-    Recv { chan: (Rank, Rank, u32), seq: u64 },
-}
-
 /// Compute the static critical-path bound, its attribution, and the top-k
-/// critical chains for `source` mapped onto `grid`.
+/// critical chains for `m` mapped onto `grid`. Which send a wait ends on,
+/// and an order in which every send is timed before the wait it feeds,
+/// both come from the [`Matched`] table. A schedule that deadlocks even
+/// with eager sends is the deadlock lint's finding; its bound covers the
+/// ops that can run.
 pub fn critical_path(
-    source: &dyn ScheduleSource,
+    m: &Matched<'_>,
     grid: &ProcGrid,
     params: &CritParams,
     top_k: usize,
 ) -> CritReport {
-    let n = source.nranks();
+    let n = m.nranks();
     assert_eq!(
         grid.world_size(),
         n,
         "grid has {} ranks, schedule has {n}",
         grid.world_size()
     );
-    let progs: Vec<RankProgram> = (0..n as Rank).map(|r| source.build_rank(r)).collect();
 
     let mut clock = vec![0.0f64; n];
-    let mut pc = vec![0usize; n];
-    let mut spans: Vec<Vec<Span>> = progs
-        .iter()
-        .map(|p| {
-            p.ops
+    let mut spans: Vec<Vec<Span>> = (0..n as Rank)
+        .map(|r| {
+            m.prog(r)
+                .ops
                 .iter()
                 .map(|_| Span {
                     start: 0.0,
@@ -175,103 +170,54 @@ pub fn critical_path(
         })
         .collect();
     // crit[r][op] — for WaitAll ops, the arrival that set its end time.
-    let mut crit: Vec<Vec<Option<CritDep>>> =
-        progs.iter().map(|p| vec![None; p.ops.len()]).collect();
-    let mut reqs: Vec<Vec<PendingReq>> = progs
-        .iter()
-        .map(|p| (0..p.n_reqs).map(|_| PendingReq::Done).collect())
+    let mut crit: Vec<Vec<Option<CritDep>>> = (0..n as Rank)
+        .map(|r| vec![None; m.prog(r).ops.len()])
         .collect();
-    type Chan = (Rank, Rank, u32);
-    let mut sent_seq: HashMap<Chan, u64> = HashMap::new();
-    let mut recv_seq: HashMap<Chan, u64> = HashMap::new();
-    // arrival time + provenance per (channel, sequence).
-    let mut mailbox: HashMap<(Chan, u64), (f64, CritDep)> = HashMap::new();
 
-    loop {
-        let mut progressed = false;
-        for r in 0..n {
-            let rank = r as Rank;
-            let prog = &progs[r];
-            'ops: while pc[r] < prog.ops.len() {
-                let i = pc[r];
-                let start = clock[r];
-                match prog.ops[i].op {
-                    Op::Isend { to, block, tag, .. } => {
-                        clock[r] = start + params.o_send;
-                        let level = grid.level(rank, to);
-                        let wire_us = params.wire(level, block.len);
-                        let chan = (rank, to, tag);
-                        let seq = sent_seq.entry(chan).or_insert(0);
-                        mailbox.insert(
-                            (chan, *seq),
-                            (
-                                clock[r] + wire_us,
-                                CritDep {
-                                    sender: rank,
-                                    send_op: i,
-                                    level,
-                                    wire_us,
-                                },
-                            ),
-                        );
-                        *seq += 1;
-                    }
-                    Op::Irecv { from, tag, req, .. } => {
-                        clock[r] = start + params.o_recv;
-                        let chan = (from, rank, tag);
-                        let seq = recv_seq.entry(chan).or_insert(0);
-                        reqs[r][req as usize] = PendingReq::Recv { chan, seq: *seq };
-                        *seq += 1;
-                    }
-                    Op::Copy { src, .. } => {
-                        clock[r] = start + params.copy(src.len);
-                    }
-                    Op::WaitAll { first_req, count } => {
-                        for q in first_req..first_req + count {
-                            if let PendingReq::Recv { chan, seq } = reqs[r][q as usize] {
-                                if !mailbox.contains_key(&(chan, seq)) {
-                                    break 'ops; // sender hasn't run yet
-                                }
-                            }
-                        }
-                        let mut end = start;
-                        for q in first_req..first_req + count {
-                            if let PendingReq::Recv { chan, seq } = reqs[r][q as usize] {
-                                let (arrival, dep) = mailbox.remove(&(chan, seq)).expect("checked");
-                                if arrival > end {
-                                    end = arrival;
-                                    crit[r][i] = Some(dep);
-                                }
-                                reqs[r][q as usize] = PendingReq::Done;
-                            }
-                        }
-                        clock[r] = end;
+    m.walk(|rank, i| {
+        let r = rank as usize;
+        let start = clock[r];
+        let op = m.prog(rank).ops[i].op;
+        clock[r] = match op {
+            Op::Isend { .. } => start + params.o_send,
+            Op::Irecv { .. } => start + params.o_recv,
+            Op::Copy { src, .. } => start + params.copy(src.len),
+            Op::WaitAll { .. } => {
+                let mut end = start;
+                for (recv_op, (sender, send_op)) in m.arrivals(rank, i) {
+                    let level = grid.level(sender, rank);
+                    let wire_us = params.wire(level, m.prog(rank).ops[recv_op].op.bytes());
+                    let arrival = spans[sender as usize][send_op].end + wire_us;
+                    if arrival > end {
+                        end = arrival;
+                        crit[r][i] = Some(CritDep {
+                            sender,
+                            send_op,
+                            level,
+                            wire_us,
+                        });
                     }
                 }
-                spans[r][i] = Span {
-                    start,
-                    end: clock[r],
-                };
-                pc[r] += 1;
-                progressed = true;
+                end
             }
-        }
-        if !progressed {
-            break;
-        }
-    }
+        };
+        spans[r][i] = Span {
+            start,
+            end: clock[r],
+        };
+    });
 
     let rank_finish = clock.clone();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| clock[b].partial_cmp(&clock[a]).unwrap().then(a.cmp(&b)));
     let bound_us = order.first().map(|&r| clock[r]).unwrap_or(0.0);
 
-    let total_ops: usize = progs.iter().map(|p| p.ops.len()).sum();
+    let total_ops: usize = spans.iter().map(Vec::len).sum();
     let mut chains = Vec::new();
     for &r in order.iter().take(top_k.max(1).min(n)) {
         chains.push(backtrace(
             r as Rank,
-            &progs,
+            m,
             &spans,
             &crit,
             clock[r],
@@ -292,7 +238,7 @@ pub fn critical_path(
 /// every op duration and wire segment.
 fn backtrace(
     rank: Rank,
-    progs: &[RankProgram],
+    m: &Matched<'_>,
     spans: &[Vec<Span>],
     crit: &[Vec<Option<CritDep>>],
     finish_us: f64,
@@ -311,7 +257,7 @@ fn backtrace(
     };
 
     let mut r = rank as usize;
-    let mut idx = match progs[r].ops.len().checked_sub(1) {
+    let mut idx = match m.prog(rank).ops.len().checked_sub(1) {
         Some(i) => i,
         None => {
             return CritChain {
@@ -324,7 +270,7 @@ fn backtrace(
         }
     };
     for _ in 0..max_hops {
-        let op = progs[r].ops[idx].op;
+        let op = m.prog(r as Rank).ops[idx].op;
         let span = &spans[r][idx];
         let dur = span.end - span.start;
         match op {
@@ -414,7 +360,8 @@ fn backtrace(
 mod tests {
     use super::*;
     use crate::builder::ProgBuilder;
-    use crate::ir::{Block, Phase, RBUF, SBUF};
+    use crate::ir::{Block, Phase, RankProgram, RBUF, SBUF};
+    use crate::ScheduleSource;
     use a2a_topo::Machine;
     use std::borrow::Cow;
 
@@ -447,6 +394,11 @@ mod tests {
         }
     }
 
+    fn crit(f: &Fixed, grid: &ProcGrid, top_k: usize) -> CritReport {
+        let matched = Matched::build(f).expect("structurally valid");
+        critical_path(&matched, grid, &params(), top_k)
+    }
+
     /// Rank 0 sends 100 bytes to rank 1 (same NUMA domain): the bound is
     /// o_send + wire, with o_recv hidden under the wire.
     #[test]
@@ -459,8 +411,7 @@ mod tests {
             progs: vec![b0.finish(), b1.finish()],
         };
         let grid = ProcGrid::new(Machine::custom("t", 1, 1, 1, 2));
-        let p = params();
-        let rep = critical_path(&f, &grid, &p, 2);
+        let rep = crit(&f, &grid, 2);
         let wire = 0.2 + 100.0 * 0.01; // IntraNuma
         let want = 1.0 + wire; // o_send + wire > o_recv
         assert!((rep.bound_us - want).abs() < 1e-9, "{}", rep.bound_us);
@@ -487,8 +438,7 @@ mod tests {
         };
         // Two nodes, one rank each: the pair is inter-node.
         let grid = ProcGrid::new(Machine::custom("t", 2, 1, 1, 1));
-        let p = params();
-        let rep = critical_path(&f, &grid, &p, 1);
+        let rep = crit(&f, &grid, 1);
         let wire = 2.0 + 1000.0 * 0.05;
         let copy = 0.25 + 1000.0 * 0.001;
         let want = 1.0 + wire + copy;
@@ -513,8 +463,7 @@ mod tests {
             progs: vec![b0.finish(), b1.finish()],
         };
         let grid = ProcGrid::new(Machine::custom("t", 1, 1, 1, 2));
-        let p = params();
-        let rep = critical_path(&f, &grid, &p, 1);
+        let rep = crit(&f, &grid, 1);
         // 100 copies of 1 byte then the recv post dominate the arrival.
         let copies = 100.0 * (0.25 + 0.001);
         let want = copies + 0.5; // wait ends on local clock (arrival earlier)
@@ -534,8 +483,7 @@ mod tests {
             progs: vec![b1.finish()],
         };
         let grid = ProcGrid::new(Machine::custom("t", 1, 1, 1, 1));
-        let p = params();
-        let rep = critical_path(&f, &grid, &p, 1);
+        let rep = crit(&f, &grid, 1);
         let c = &rep.chains[0];
         assert_eq!(c.hops.len(), CHAIN_DISPLAY_HOPS);
         assert_eq!(c.total_hops, CHAIN_DISPLAY_HOPS + 10);

@@ -1,19 +1,25 @@
 //! Static-analysis support over compiled schedules.
 //!
-//! The validator ([`crate::validate`]) proves a schedule is *well-formed*;
-//! the machinery here supports proving it is *safe to execute*:
+//! The validator ([`mod@crate::validate`]) proves a schedule is *well-formed*
+//! and, doing so, resolves its static message matching into one
+//! [`crate::Matched`] table. The machinery here supports proving the
+//! schedule is *safe to execute* and *right*; everything cross-rank is a
+//! fold over that table and matches nothing itself:
 //!
 //! * [`intervals`] — byte-interval reasoning over [`crate::Block`] regions
 //!   and an in-flight tracker for posted-but-unwaited requests, the basis
-//!   of the stable-send (zero-copy) and receive-race analyses;
+//!   of the stable-send (zero-copy) and receive-race analyses (rank-local:
+//!   it reads programs, not matching);
 //! * [`waitgraph`] — the cross-rank wait-for graph over `WaitAll` ops,
 //!   whose acyclicity proves deadlock-freedom under eager or rendezvous
 //!   send semantics;
 //! * [`provenance`] — the semantic dataflow prover: symbolic byte-interval
-//!   provenance propagated through every op and checked against a
-//!   collective's declared semantics ([`provenance::SemanticsSpec`]);
+//!   provenance propagated through every op, in [`crate::Matched::walk`]
+//!   order, and checked against a collective's declared semantics
+//!   ([`provenance::SemanticsSpec`]);
 //! * [`critpath`] — the static LogGP critical-path analyzer: a longest-path
-//!   lower bound on makespan with intra-/inter-node/software attribution.
+//!   lower bound on makespan with intra-/inter-node/software attribution,
+//!   timed over the same walk.
 //!
 //! The `a2a-lint` crate drives these into a diagnostics report with stable
 //! lint codes; they live here so the IR crate owns every schedule-shaped

@@ -27,19 +27,21 @@
 //!   declared output transitively depends on (`A2A010`), found by a
 //!   backward liveness pass over the recorded event sequence.
 //!
-//! The executor models the same semantics as the data executor and the
-//! simulator: eager sends snapshot their source at post time, FIFO matching
-//! per `(from, to, tag)` channel, delivery visible at the covering
-//! `WaitAll`. Malformed or deadlocking schedules are the validator's and
-//! deadlock lint's department — the prover simply stops making progress and
-//! reports whatever bytes never arrived as missing.
+//! The symbolic run models the same semantics as the data executor and the
+//! simulator: eager sends snapshot their source at post time, and a
+//! delivery becomes visible at the first `WaitAll` covering its receive.
+//! Which send feeds which receive, and an order to visit the ops in, both
+//! come from the [`Matched`] table — the prover keeps no matching or
+//! scheduling state of its own. A deadlocking schedule is the deadlock
+//! lint's department: the walk stops early ([`ProveReport::stuck`]) and
+//! whatever bytes never arrived are reported missing.
 
 use std::collections::HashMap;
 
 use a2a_topo::Rank;
 
-use crate::ir::{Block, Bytes, Op, RankProgram};
-use crate::ScheduleSource;
+use crate::ir::{Block, Bytes, Op};
+use crate::validate::Matched;
 
 // ------------------------------------------------------------ the contract
 
@@ -377,9 +379,9 @@ pub struct ProveReport {
     pub bytes_checked: Bytes,
     /// Messages symbolically transported.
     pub messages: usize,
-    /// The executor stopped before every rank finished (a deadlock or
-    /// unmatched message — the validator/deadlock lint's findings); the
-    /// final-state check still ran on the partial state.
+    /// The walk stopped before every rank finished (a deadlock — the
+    /// deadlock lint's finding); the final-state check still ran on the
+    /// partial state.
     pub stuck: bool,
 }
 
@@ -411,35 +413,16 @@ enum Event {
         rank: Rank,
         op: usize,
         block: Block,
-        msg: usize,
+        to: Rank,
+        tag: u32,
     },
-    /// Message payload landing: write of `block` on the receiver.
+    /// Message payload landing: write of `block` on the receiver, of the
+    /// message posted at `send`.
     Deliver {
         rank: Rank,
         block: Block,
-        msg: usize,
+        send: (Rank, usize),
     },
-}
-
-#[derive(Debug, Clone)]
-enum ReqState {
-    Unposted,
-    SendDone,
-    /// Posted receive, waiting for channel sequence `seq` on `chan`.
-    RecvPending {
-        chan: (Rank, Rank, u32),
-        seq: u64,
-        block: Block,
-        post_op: usize,
-    },
-    RecvDone,
-}
-
-struct Msg {
-    payload: Vec<RelSeg>,
-    to: Rank,
-    bytes: Bytes,
-    tag: u32,
 }
 
 /// Sorted, disjoint byte intervals (the backward-liveness working set).
@@ -489,16 +472,15 @@ impl IntervalSet {
     }
 }
 
-/// Symbolically execute `source` and check the final state against `spec`.
-pub fn prove_schedule(source: &dyn ScheduleSource, spec: &SemanticsSpec) -> ProveReport {
-    let n = source.nranks();
+/// Symbolically execute `m` and check the final state against `spec`.
+pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
+    let n = m.nranks();
     assert_eq!(
         spec.expected.len(),
         n,
         "spec covers {} ranks, schedule has {n}",
         spec.expected.len()
     );
-    let progs: Vec<RankProgram> = (0..n as Rank).map(|r| source.build_rank(r)).collect();
 
     let mut report = ProveReport::default();
 
@@ -506,176 +488,83 @@ pub fn prove_schedule(source: &dyn ScheduleSource, spec: &SemanticsSpec) -> Prov
     // other buffer starts undefined.
     let mut maps: Vec<Vec<SegMap>> = (0..n as Rank)
         .map(|r| {
-            source
-                .buffers(r)
+            m.buffers(r)
                 .iter()
                 .enumerate()
                 .map(|(b, &size)| {
-                    let mut m = SegMap::default();
+                    let mut map = SegMap::default();
                     if b == 0 && size > 0 {
-                        m.segs.push(Seg {
+                        map.segs.push(Seg {
                             start: 0,
                             len: size,
                             prov: Some(Prov { src: r, off: 0 }),
                             writer: INITIAL,
                         });
                     }
-                    m
+                    map
                 })
                 .collect()
         })
         .collect();
-
-    let mut pc = vec![0usize; n];
-    let mut reqs: Vec<Vec<ReqState>> = progs
-        .iter()
-        .map(|p| vec![ReqState::Unposted; p.n_reqs as usize])
+    // `[rank][op]` — a send's payload, snapshotted when the walk visits it.
+    let mut payloads: Vec<Vec<Vec<RelSeg>>> = (0..n as Rank)
+        .map(|r| vec![Vec::new(); m.prog(r).ops.len()])
         .collect();
-    // FIFO channels: the k-th send on (from, to, tag) pairs with the k-th
-    // receive, exactly as every executor matches.
-    let mut sent_seq: HashMap<(Rank, Rank, u32), u64> = HashMap::new();
-    let mut recv_seq: HashMap<(Rank, Rank, u32), u64> = HashMap::new();
-    let mut mailbox: HashMap<((Rank, Rank, u32), u64), usize> = HashMap::new();
-    let mut msgs: Vec<Msg> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
 
-    // Cooperative round-robin: run each rank until it blocks at a WaitAll
-    // whose receives have not all been sent yet; stop when a full cycle
-    // makes no progress.
-    loop {
-        let mut progressed = false;
-        for r in 0..n {
-            let rank = r as Rank;
-            let prog = &progs[r];
-            'ops: while pc[r] < prog.ops.len() {
-                match prog.ops[pc[r]].op {
-                    Op::Isend {
-                        to,
+    let finished = m.walk(|rank, op| {
+        let r = rank as usize;
+        match m.prog(rank).ops[op].op {
+            Op::Isend { to, block, tag, .. } => {
+                payloads[r][op] = maps[r][block.buf.0 as usize].read(block);
+                events.push(Event::Post {
+                    rank,
+                    op,
+                    block,
+                    to,
+                    tag,
+                });
+            }
+            Op::Irecv { .. } => {}
+            Op::Copy { src, dst } => {
+                let content = maps[r][src.buf.0 as usize].read(src);
+                clobber_check(
+                    &maps[r][dst.buf.0 as usize],
+                    dst,
+                    &content,
+                    rank,
+                    op,
+                    "copy",
+                    &spec.expected[r],
+                    &mut report.findings,
+                );
+                maps[r][dst.buf.0 as usize].write(dst, &content, op);
+                events.push(Event::Copy { rank, op, src, dst });
+            }
+            Op::WaitAll { .. } => {
+                for (recv_op, send) in m.arrivals(rank, op) {
+                    let Op::Irecv { block, .. } = m.prog(rank).ops[recv_op].op else {
+                        unreachable!("arrivals are receives");
+                    };
+                    report.messages += 1;
+                    let payload = &payloads[send.0 as usize][send.1];
+                    clobber_check(
+                        &maps[r][block.buf.0 as usize],
                         block,
-                        tag,
-                        req,
-                        ..
-                    } => {
-                        let payload = maps[r][block.buf.0 as usize].read(block);
-                        let chan = (rank, to, tag);
-                        let seq = sent_seq.entry(chan).or_insert(0);
-                        let id = msgs.len();
-                        msgs.push(Msg {
-                            payload,
-                            to,
-                            bytes: block.len,
-                            tag,
-                        });
-                        mailbox.insert((chan, *seq), id);
-                        *seq += 1;
-                        events.push(Event::Post {
-                            rank,
-                            op: pc[r],
-                            block,
-                            msg: id,
-                        });
-                        reqs[r][req as usize] = ReqState::SendDone;
-                    }
-                    Op::Irecv {
-                        from,
-                        block,
-                        tag,
-                        req,
-                        ..
-                    } => {
-                        let chan = (from, rank, tag);
-                        let seq = recv_seq.entry(chan).or_insert(0);
-                        reqs[r][req as usize] = ReqState::RecvPending {
-                            chan,
-                            seq: *seq,
-                            block,
-                            post_op: pc[r],
-                        };
-                        *seq += 1;
-                    }
-                    Op::Copy { src, dst } => {
-                        let content = maps[r][src.buf.0 as usize].read(src);
-                        clobber_check(
-                            &maps[r][dst.buf.0 as usize],
-                            dst,
-                            &content,
-                            rank,
-                            pc[r],
-                            "copy",
-                            &spec.expected[r],
-                            &mut report.findings,
-                        );
-                        maps[r][dst.buf.0 as usize].write(dst, &content, pc[r]);
-                        events.push(Event::Copy {
-                            rank,
-                            op: pc[r],
-                            src,
-                            dst,
-                        });
-                    }
-                    Op::WaitAll { first_req, count } => {
-                        // Deliverable only if every covered receive's
-                        // message has been posted by its sender.
-                        for q in first_req..first_req + count {
-                            if let ReqState::RecvPending { chan, seq, .. } = reqs[r][q as usize] {
-                                if !mailbox.contains_key(&(chan, seq)) {
-                                    break 'ops; // blocked: resume later
-                                }
-                            }
-                        }
-                        for q in first_req..first_req + count {
-                            if let ReqState::RecvPending {
-                                chan,
-                                seq,
-                                block,
-                                post_op,
-                            } = reqs[r][q as usize]
-                            {
-                                let id = mailbox.remove(&(chan, seq)).expect("checked");
-                                report.messages += 1;
-                                // Clip the payload to the receive block
-                                // (mismatched lengths are the validator's
-                                // finding, not ours).
-                                let payload: Vec<RelSeg> = msgs[id]
-                                    .payload
-                                    .iter()
-                                    .take_while(|p| p.rel < block.len)
-                                    .map(|p| RelSeg {
-                                        rel: p.rel,
-                                        len: p.len.min(block.len - p.rel),
-                                        prov: p.prov,
-                                    })
-                                    .collect();
-                                clobber_check(
-                                    &maps[r][block.buf.0 as usize],
-                                    block,
-                                    &payload,
-                                    rank,
-                                    post_op,
-                                    "delivery",
-                                    &spec.expected[r],
-                                    &mut report.findings,
-                                );
-                                maps[r][block.buf.0 as usize].write(block, &payload, post_op);
-                                events.push(Event::Deliver {
-                                    rank,
-                                    block,
-                                    msg: id,
-                                });
-                                reqs[r][q as usize] = ReqState::RecvDone;
-                            }
-                        }
-                    }
+                        payload,
+                        rank,
+                        recv_op,
+                        "delivery",
+                        &spec.expected[r],
+                        &mut report.findings,
+                    );
+                    maps[r][block.buf.0 as usize].write(block, payload, recv_op);
+                    events.push(Event::Deliver { rank, block, send });
                 }
-                pc[r] += 1;
-                progressed = true;
             }
         }
-        if !progressed {
-            break;
-        }
-    }
-    report.stuck = pc.iter().enumerate().any(|(r, &p)| p < progs[r].ops.len());
+    });
+    report.stuck = !finished;
 
     // Final-state check: A2A007 (wrong source) and A2A008 (missing).
     for (r, map) in maps.iter().enumerate() {
@@ -752,12 +641,10 @@ pub fn prove_schedule(source: &dyn ScheduleSource, spec: &SemanticsSpec) -> Prov
             set.add(e.dst_off, e.dst_off + e.len);
         }
     }
-    let mut msg_need: HashMap<usize, Vec<(Bytes, Bytes)>> = HashMap::new();
+    let mut msg_need: HashMap<(Rank, usize), Vec<(Bytes, Bytes)>> = HashMap::new();
     for ev in events.iter().rev() {
         match *ev {
-            Event::Deliver {
-                rank, block, msg, ..
-            } => {
+            Event::Deliver { rank, block, send } => {
                 let useful = needed
                     .entry((rank, block.buf.0))
                     .or_default()
@@ -767,25 +654,25 @@ pub fn prove_schedule(source: &dyn ScheduleSource, spec: &SemanticsSpec) -> Prov
                     .iter()
                     .map(|&(a, b)| (a - block.off, b - block.off))
                     .collect();
-                msg_need.insert(msg, rel);
+                msg_need.insert(send, rel);
             }
             Event::Post {
                 rank,
                 op,
                 block,
-                msg,
+                to,
+                tag,
             } => {
-                let rel = msg_need.remove(&msg).unwrap_or_default();
+                let rel = msg_need.remove(&(rank, op)).unwrap_or_default();
                 if rel.is_empty() {
-                    let m = &msgs[msg];
                     report.findings.push(ProveFinding {
                         issue: ProveIssue::RedundantTransfer,
                         rank,
                         op: Some(op),
                         message: format!(
-                            "message of {} byte(s) to rank {} (tag {}) moves bytes \
+                            "message of {} byte(s) to rank {to} (tag {tag}) moves bytes \
                              no declared output depends on",
-                            m.bytes, m.to, m.tag,
+                            block.len,
                         ),
                         note: None,
                     });
@@ -911,7 +798,7 @@ fn clobber_check(
 mod tests {
     use super::*;
     use crate::builder::ProgBuilder;
-    use crate::ir::{Phase, RBUF, SBUF};
+    use crate::ir::{Phase, RankProgram, RBUF, SBUF};
     use crate::ScheduleSource;
     use std::borrow::Cow;
 
@@ -933,6 +820,10 @@ mod tests {
         fn phase_names(&self) -> Vec<&'static str> {
             vec!["all"]
         }
+    }
+
+    fn prove(f: &Fixed, spec: &SemanticsSpec) -> ProveReport {
+        prove_schedule(&Matched::build(f).expect("structurally valid"), spec)
     }
 
     /// Two ranks, 8-byte blocks: a correct direct all-to-all.
@@ -965,7 +856,7 @@ mod tests {
     #[test]
     fn correct_pair_proves_clean() {
         let spec = SemanticsSpec::alltoall(2, 8);
-        let rep = prove_schedule(&swap_pair(), &spec);
+        let rep = prove(&swap_pair(), &spec);
         assert!(rep.is_clean(), "{:?}", rep.findings);
         assert_eq!(rep.bytes_checked, 32);
         assert_eq!(rep.messages, 2);
@@ -981,7 +872,7 @@ mod tests {
                 block.off = 0;
             }
         }
-        let rep = prove_schedule(&f, &SemanticsSpec::alltoall(2, 8));
+        let rep = prove(&f, &SemanticsSpec::alltoall(2, 8));
         assert_eq!(rep.count(ProveIssue::WrongSource), 1, "{:?}", rep.findings);
         let w = &rep.findings[0];
         assert_eq!(w.rank, 1);
@@ -992,7 +883,7 @@ mod tests {
     fn dropped_copy_is_missing_byte() {
         let mut f = swap_pair();
         f.progs[0].ops.remove(0); // rank 0 never fills its self block
-        let rep = prove_schedule(&f, &SemanticsSpec::alltoall(2, 8));
+        let rep = prove(&f, &SemanticsSpec::alltoall(2, 8));
         assert_eq!(rep.count(ProveIssue::MissingByte), 1, "{:?}", rep.findings);
         assert_eq!(rep.findings[0].rank, 0);
     }
@@ -1009,7 +900,7 @@ mod tests {
             },
             phase,
         });
-        let rep = prove_schedule(&f, &SemanticsSpec::alltoall(2, 8));
+        let rep = prove(&f, &SemanticsSpec::alltoall(2, 8));
         assert!(
             rep.count(ProveIssue::ClobberedByte) >= 1,
             "{:?}",
@@ -1065,7 +956,7 @@ mod tests {
             },
             phase,
         });
-        let rep = prove_schedule(&f, &SemanticsSpec::alltoall(2, 8));
+        let rep = prove(&f, &SemanticsSpec::alltoall(2, 8));
         assert_eq!(
             rep.count(ProveIssue::RedundantTransfer),
             1,
@@ -1133,7 +1024,7 @@ mod tests {
             progs: vec![b0ops, b1ops],
             buffers: vec![vec![8, 8, 4], vec![8, 8, 4]],
         };
-        let rep = prove_schedule(&f, &SemanticsSpec::alltoall(2, 4));
+        let rep = prove(&f, &SemanticsSpec::alltoall(2, 4));
         assert!(rep.is_clean(), "{:?}", rep.findings);
     }
 

@@ -17,16 +17,13 @@
 //!   edge. Without it, a wait with no message dependencies of its own
 //!   would look always-completable even when it sits behind a blocked one.
 //!
-//! Message matching is FIFO per `(from, to, tag)` channel: the k-th send
-//! on a channel pairs with the k-th receive, exactly as the executors and
-//! the simulator match. Unmatched messages are the validator's department;
-//! the graph simply skips them.
-
-use std::collections::HashMap;
+//! Which send a receive waits for is read from the [`Matched`] table; the
+//! graph itself is one pass over its `WaitAll` ops.
 
 use a2a_topo::Rank;
 
-use crate::ir::{Op, RankProgram};
+use crate::ir::Op;
+use crate::validate::Matched;
 
 /// Send-completion semantics assumed by the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,134 +81,72 @@ pub struct WaitForGraph {
     pub edges: Vec<Vec<(usize, Blocker)>>,
 }
 
-/// Per-rank indexing used during construction.
-struct RankIndex {
-    /// `req -> op index` of the posting `Isend`/`Irecv`.
-    post_op: HashMap<u32, usize>,
-    /// `op index -> node id` of the latest `WaitAll` strictly before it.
-    wait_before: Vec<Option<usize>>,
-}
-
-/// Build the wait-for graph for `progs` under `mode`.
-pub fn build_wait_graph(progs: &[RankProgram], mode: SendMode) -> WaitForGraph {
-    let mut g = WaitForGraph::default();
-    let mut idx: Vec<RankIndex> = Vec::with_capacity(progs.len());
-
-    // Pass 1: nodes, posting positions, and the latest-wait-before map.
-    for (r, prog) in progs.iter().enumerate() {
-        let mut post_op = HashMap::new();
-        let mut wait_before = Vec::with_capacity(prog.ops.len());
-        let mut last_wait = None;
-        for (i, top) in prog.ops.iter().enumerate() {
-            wait_before.push(last_wait);
-            match top.op {
-                Op::Isend { req, .. } | Op::Irecv { req, .. } => {
-                    post_op.insert(req, i);
-                }
-                Op::WaitAll { first_req, count } => {
-                    let id = g.nodes.len();
-                    g.nodes.push(WaitNode {
-                        rank: r as Rank,
-                        op_idx: i,
-                        first_req,
-                        count,
-                    });
-                    last_wait = Some(id);
-                }
-                Op::Copy { .. } => {}
-            }
-        }
-        idx.push(RankIndex {
-            post_op,
-            wait_before,
-        });
-    }
-
-    // Pass 2: FIFO channel matching. For every message op, the op index of
-    // its partner on the peer rank.
-    type Chan = (Vec<(usize, usize)>, Vec<(usize, usize)>); // (rank, op) posts
-    let mut chans: HashMap<(Rank, Rank, u32), Chan> = HashMap::new();
-    for (r, prog) in progs.iter().enumerate() {
-        for (i, top) in prog.ops.iter().enumerate() {
-            match top.op {
-                Op::Isend { to, tag, .. } => {
-                    chans
-                        .entry((r as Rank, to, tag))
-                        .or_default()
-                        .0
-                        .push((r, i));
-                }
-                Op::Irecv { from, tag, .. } => {
-                    chans
-                        .entry((from, r as Rank, tag))
-                        .or_default()
-                        .1
-                        .push((r, i));
-                }
-                _ => {}
+/// Build the wait-for graph of `m` under `mode`.
+pub fn build_wait_graph(m: &Matched<'_>, mode: SendMode) -> WaitForGraph {
+    let mut nodes = Vec::new();
+    for rank in 0..m.nranks() as Rank {
+        for (op_idx, top) in m.prog(rank).ops.iter().enumerate() {
+            if let Op::WaitAll { first_req, count } = top.op {
+                nodes.push(WaitNode {
+                    rank,
+                    op_idx,
+                    first_req,
+                    count,
+                });
             }
         }
     }
-    // `(rank, op) -> (peer rank, peer op)` for matched messages.
-    let mut partner: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-    for (sends, recvs) in chans.values() {
-        for (s, r) in sends.iter().zip(recvs) {
-            partner.insert(*s, *r);
-            partner.insert(*r, *s);
-        }
-    }
+    // Nodes are in `(rank, op)` order, so the latest `WaitAll` of `rank`
+    // strictly before `op` is one binary search away.
+    let wait_before = |rank: Rank, op: usize| {
+        let later = nodes.partition_point(|w| (w.rank, w.op_idx) < (rank, op));
+        later.checked_sub(1).filter(|&id| nodes[id].rank == rank)
+    };
 
-    // Pass 3: edges.
-    g.edges = vec![Vec::new(); g.nodes.len()];
-    for (id, node) in g.nodes.iter().enumerate() {
-        let r = node.rank as usize;
-        let mut edges = Vec::new();
-        // Reaching this wait requires the rank's previous wait to complete.
-        if let Some(prev) = idx[r].wait_before[node.op_idx] {
-            edges.push((prev, Blocker::Sequential));
-        }
-        for req in node.first_req..node.first_req + node.count {
-            let Some(&post) = idx[r].post_op.get(&req) else {
-                continue; // never posted: validator territory
-            };
-            let Some(&(peer, peer_op)) = partner.get(&(r, post)) else {
-                continue; // unmatched: validator territory
-            };
-            let Some(blocking_wait) = idx[peer].wait_before[peer_op] else {
-                continue; // partner is posted before the peer can block
-            };
-            let (tag, is_recv) = match progs[r].ops[post].op {
-                Op::Irecv { tag, .. } => (tag, true),
-                Op::Isend { tag, .. } => (tag, false),
-                _ => continue,
-            };
-            if is_recv {
-                edges.push((
-                    blocking_wait,
-                    Blocker::RecvNeedsSend {
-                        req,
-                        post_op: post,
-                        peer: peer as Rank,
-                        peer_op,
-                        tag,
-                    },
-                ));
-            } else if mode == SendMode::Rendezvous {
-                edges.push((
-                    blocking_wait,
-                    Blocker::SendNeedsRecv {
-                        req,
-                        post_op: post,
-                        peer: peer as Rank,
-                        peer_op,
-                        tag,
-                    },
-                ));
+    let edges = nodes
+        .iter()
+        .map(|node| {
+            let mut edges = Vec::new();
+            // Reaching this wait requires the rank's previous wait to complete.
+            if let Some(prev) = wait_before(node.rank, node.op_idx) {
+                edges.push((prev, Blocker::Sequential));
             }
-        }
-        g.edges[id] = edges;
-    }
-    g
+            for req in node.first_req..node.first_req + node.count {
+                let post_op = m.post_op(node.rank, req);
+                let (peer, peer_op) = m
+                    .partner(node.rank, post_op)
+                    .expect("a request is posted by a message op, and those are matched");
+                let Some(blocking_wait) = wait_before(peer, peer_op) else {
+                    continue; // partner is posted before the peer can block
+                };
+                match m.prog(node.rank).ops[post_op].op {
+                    Op::Irecv { tag, .. } => edges.push((
+                        blocking_wait,
+                        Blocker::RecvNeedsSend {
+                            req,
+                            post_op,
+                            peer,
+                            peer_op,
+                            tag,
+                        },
+                    )),
+                    Op::Isend { tag, .. } if mode == SendMode::Rendezvous => edges.push((
+                        blocking_wait,
+                        Blocker::SendNeedsRecv {
+                            req,
+                            post_op,
+                            peer,
+                            peer_op,
+                            tag,
+                        },
+                    )),
+                    _ => {}
+                }
+            }
+            edges
+        })
+        .collect();
+    WaitForGraph { nodes, edges }
 }
 
 /// Find one dependency cycle, if any: the returned chain lists
@@ -267,7 +202,32 @@ pub fn find_cycle(g: &WaitForGraph) -> Option<Vec<(usize, Blocker)>> {
 mod tests {
     use super::*;
     use crate::builder::ProgBuilder;
-    use crate::ir::{Block, Phase, RBUF, SBUF};
+    use crate::ir::{Block, Bytes, Phase, RankProgram, RBUF, SBUF};
+    use crate::ScheduleSource;
+
+    /// `progs` with 32-byte send and receive buffers on every rank.
+    struct Fixed(Vec<RankProgram>);
+
+    impl ScheduleSource for Fixed {
+        fn nranks(&self) -> usize {
+            self.0.len()
+        }
+        fn buffers(&self, _r: Rank) -> Vec<Bytes> {
+            vec![32, 32]
+        }
+        fn rank_program(&self, r: Rank) -> std::borrow::Cow<'_, RankProgram> {
+            std::borrow::Cow::Borrowed(&self.0[r as usize])
+        }
+        fn phase_names(&self) -> Vec<&'static str> {
+            vec!["all"]
+        }
+    }
+
+    fn graph(progs: Vec<RankProgram>, mode: SendMode) -> WaitForGraph {
+        let fixed = Fixed(progs);
+        let matched = Matched::build(&fixed).expect("structurally valid");
+        build_wait_graph(&matched, mode)
+    }
 
     fn blk(off: u64) -> Block {
         Block::new(SBUF, off, 8)
@@ -305,7 +265,7 @@ mod tests {
 
     #[test]
     fn sendrecv_is_acyclic_under_rendezvous() {
-        let g = build_wait_graph(&sendrecv_pair(), SendMode::Rendezvous);
+        let g = graph(sendrecv_pair(), SendMode::Rendezvous);
         assert_eq!(g.nodes.len(), 2);
         assert!(find_cycle(&g).is_none());
     }
@@ -313,14 +273,14 @@ mod tests {
     #[test]
     fn head_to_head_deadlocks_under_rendezvous_only() {
         let progs = head_to_head();
-        let g = build_wait_graph(&progs, SendMode::Rendezvous);
+        let g = graph(progs.clone(), SendMode::Rendezvous);
         let cycle = find_cycle(&g).expect("rendezvous deadlock");
         assert_eq!(cycle.len(), 2);
         assert!(cycle
             .iter()
             .all(|(_, b)| matches!(b, Blocker::SendNeedsRecv { .. })));
         // Eager sends buffer: the same schedule completes.
-        let g = build_wait_graph(&progs, SendMode::Eager);
+        let g = graph(progs, SendMode::Eager);
         assert!(find_cycle(&g).is_none());
     }
 
@@ -337,7 +297,7 @@ mod tests {
             })
             .collect();
         for mode in [SendMode::Eager, SendMode::Rendezvous] {
-            let g = build_wait_graph(&progs, mode);
+            let g = graph(progs.clone(), mode);
             let cycle = find_cycle(&g).expect("recv-first deadlock");
             assert!(cycle
                 .iter()
@@ -355,7 +315,7 @@ mod tests {
                 b.finish()
             })
             .collect();
-        let g = build_wait_graph(&progs, SendMode::Eager);
+        let g = graph(progs, SendMode::Eager);
         let cycle = find_cycle(&g).expect("ring deadlock");
         assert_eq!(cycle.len(), 3);
     }
@@ -381,7 +341,7 @@ mod tests {
         b2.send(0, blk(0), 0);
         b2.wait(r);
         let progs = vec![b0.finish(), b1.finish(), b2.finish()];
-        let g = build_wait_graph(&progs, SendMode::Eager);
+        let g = graph(progs, SendMode::Eager);
         let cycle = find_cycle(&g).expect("deadlock through sequential edge");
         assert!(cycle.iter().any(|(_, b)| matches!(b, Blocker::Sequential)));
         assert!(cycle
@@ -402,7 +362,7 @@ mod tests {
         b1.wait(0);
         b1.recv(0, rblk(8), 7);
         let progs = vec![b0.finish(), b1.finish()];
-        let g = build_wait_graph(&progs, SendMode::Rendezvous);
+        let g = graph(progs, SendMode::Rendezvous);
         let rendezvous_edges: Vec<_> = g
             .edges
             .iter()

@@ -18,6 +18,13 @@
 //! dependency structure (a `Sendrecv` blocks until both transfers complete)
 //! while keeping the executors uniform.
 //!
+//! The executors match messages *dynamically* (faults, retransmits,
+//! virtual time). Everything static reads one table instead: the validator
+//! ([`validate()`]) resolves "the k-th send on a channel pairs with the k-th
+//! receive" once into a [`Matched`] schedule, and the wait-for graph, the
+//! dataflow prover and the critical-path analyzer ([`analysis`]) are folds
+//! over it.
+//!
 //! # Example
 //!
 //! ```
@@ -46,7 +53,7 @@ pub use exec::{
 };
 pub use exec_legacy::LegacyDataExecutor;
 pub use ir::{Block, BufId, Bytes, Op, Phase, RankProgram, TimedOp, RBUF, SBUF, TMP0, TMP1, TMP2};
-pub use validate::{validate, ScheduleStats, ValidationError};
+pub use validate::{validate, Matched, ScheduleStats, ValidationError};
 pub use verify::{
     check_allgather_rbuf, check_alltoall_rbuf, fill_allgather_sbuf, fill_alltoall_sbuf,
     pattern_byte, run_and_verify, run_and_verify_allgather, run_and_verify_bcast,

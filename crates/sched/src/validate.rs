@@ -1,23 +1,28 @@
-//! Structural validation of schedules, independent of execution.
+//! Structural validation of schedules, independent of execution, and its
+//! product: the matched schedule every static analysis reads.
 //!
 //! The validator proves, by inspection alone, that a schedule is
 //! *well-formed*: every send has exactly one matching receive (same peer,
 //! tag, and length, in FIFO order), every request is posted once and waited
 //! on, every block stays inside its declared buffer, and no rank messages
-//! itself (self-traffic must be a `Copy`). It also gathers the per-locality
-//! statistics (message and byte counts per level) that the paper's analysis
-//! sections reason about, which the invariant tests assert on.
+//! itself (self-traffic must be a `Copy`). Proving that resolves the static
+//! matching rule — the k-th send on `(from, to, tag)` pairs with the k-th
+//! receive — so [`Matched::build`] keeps what it resolved: the rank
+//! programs, the peer op of every message op, and the op that posts and the
+//! `WaitAll` that first covers every request. The wait-for graph, the
+//! dataflow prover and the critical-path analyzer (`crate::analysis`) are
+//! folds over that table; none of them matches messages again.
+//!
+//! [`validate`] is the table's first fold: the per-locality statistics
+//! (message and byte counts per level) that the paper's analysis sections
+//! reason about, which the invariant tests assert on.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 use a2a_topo::{Level, ProcGrid, Rank};
 
-use crate::ir::{Block, Bytes, Op};
+use crate::ir::{Block, Bytes, Op, RankProgram};
 use crate::ScheduleSource;
-
-/// Message-matching ledger: `(from, to, tag)` -> (send lengths, recv
-/// lengths), each in program order.
-type MatchLedger = HashMap<(Rank, Rank, u32), (Vec<Bytes>, Vec<Bytes>)>;
 
 /// Why a schedule is malformed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,7 +85,7 @@ impl std::fmt::Display for ValidationError {
                 f,
                 "rank {rank}: block [{}..{}) leaves buffer {} ({size} bytes) or is empty",
                 block.off,
-                block.end(),
+                block.off.saturating_add(block.len),
                 block.buf.0
             ),
             ValidationError::BadBlock {
@@ -91,7 +96,7 @@ impl std::fmt::Display for ValidationError {
                 f,
                 "rank {rank}: block [{}..{}) names undeclared buffer {}",
                 block.off,
-                block.end(),
+                block.off.saturating_add(block.len),
                 block.buf.0
             ),
             ValidationError::SelfMessage { rank } => write!(
@@ -203,172 +208,327 @@ impl ScheduleStats {
     }
 }
 
+/// A validated schedule with its static message matching resolved: the one
+/// table the wait-for graph, the dataflow prover and the critical-path
+/// analyzer read.
+///
+/// Matching is the static FIFO rule — the k-th `Isend` on a
+/// `(from, to, tag)` channel pairs with the k-th `Irecv` on it, each in
+/// program order. (Executors, runtime and simulator match *dynamically*,
+/// under faults, retransmits and virtual time, and agree with this rule on
+/// every fault-free run.) A request completes at the **first** `WaitAll`
+/// covering it; a later wait over the same request is legal IR and finds it
+/// complete.
+///
+/// The programs are the `Cow`s [`ScheduleSource::rank_program`] hands out:
+/// borrowed from a source that stores them (a [`crate::PreparedSchedule`],
+/// a fixture), generated exactly once from an algorithm. The table is an
+/// admission-time value; nothing that executes a schedule reads it.
+pub struct Matched<'a> {
+    progs: Vec<Cow<'a, RankProgram>>,
+    buffers: Vec<Vec<Bytes>>,
+    /// `[rank][op]` — the matched peer `(rank, op)` of a message op.
+    partner: Vec<Vec<Option<(Rank, usize)>>>,
+    /// `[rank][req]` — the op that posts the request and the first
+    /// `WaitAll` covering it.
+    reqs: Vec<Vec<(usize, usize)>>,
+}
+
+impl<'a> Matched<'a> {
+    /// Validate `source` and resolve its matching. Takes no grid — matching
+    /// is independent of topology — so the world-size check belongs to the
+    /// entry points that receive one ([`validate`], the lint entry points).
+    pub fn build(source: &'a dyn ScheduleSource) -> Result<Self, ValidationError> {
+        const UNSET: usize = usize::MAX;
+        let n = source.nranks();
+        let mut m = Matched {
+            progs: Vec::with_capacity(n),
+            buffers: Vec::with_capacity(n),
+            partner: Vec::with_capacity(n),
+            reqs: Vec::with_capacity(n),
+        };
+        // Every message op: `(channel, is a receive, op index)`.
+        let mut posts: Vec<((Rank, Rank, u32), bool, usize)> = Vec::new();
+
+        for rank in 0..n as Rank {
+            let sizes = source.buffers(rank);
+            let prog = source.rank_program(rank);
+            let mut reqs = vec![(UNSET, UNSET); prog.n_reqs as usize];
+
+            let check_block = |block: Block| match sizes.get(block.buf.0 as usize) {
+                Some(&size)
+                    if block.len > 0
+                        && block
+                            .off
+                            .checked_add(block.len)
+                            .is_some_and(|end| end <= size) =>
+                {
+                    Ok(())
+                }
+                bufsize => Err(ValidationError::BadBlock {
+                    rank,
+                    block,
+                    bufsize: bufsize.copied(),
+                }),
+            };
+            let check_peer = |peer: Rank| {
+                if peer == rank {
+                    Err(ValidationError::SelfMessage { rank })
+                } else if peer as usize >= n {
+                    Err(ValidationError::BadPeer { rank, peer })
+                } else {
+                    Ok(())
+                }
+            };
+            let post = |reqs: &mut [(usize, usize)], req: u32, op: usize| match reqs
+                .get_mut(req as usize)
+            {
+                Some(slot) if slot.0 == UNSET => {
+                    slot.0 = op;
+                    Ok(())
+                }
+                _ => Err(ValidationError::BadRequest { rank, req }),
+            };
+
+            for (i, top) in prog.ops.iter().enumerate() {
+                match top.op {
+                    Op::Isend {
+                        to,
+                        block,
+                        tag,
+                        req,
+                    } => {
+                        check_block(block)?;
+                        post(&mut reqs, req, i)?;
+                        check_peer(to)?;
+                        posts.push(((rank, to, tag), false, i));
+                    }
+                    Op::Irecv {
+                        from,
+                        block,
+                        tag,
+                        req,
+                    } => {
+                        check_block(block)?;
+                        post(&mut reqs, req, i)?;
+                        check_peer(from)?;
+                        posts.push(((from, rank, tag), true, i));
+                    }
+                    Op::WaitAll { first_req, count } => {
+                        // An id that saturates is out of range like any
+                        // other: ids stop below `n_reqs <= u32::MAX`.
+                        for req in (0..count).map(|k| first_req.saturating_add(k)) {
+                            match reqs.get_mut(req as usize) {
+                                None => return Err(ValidationError::BadRequest { rank, req }),
+                                Some((UNSET, _)) => {
+                                    return Err(ValidationError::WaitBeforePost { rank, req })
+                                }
+                                Some((_, wait)) if *wait == UNSET => *wait = i,
+                                Some(_) => {}
+                            }
+                        }
+                    }
+                    Op::Copy { src, dst } => {
+                        check_block(src)?;
+                        check_block(dst)?;
+                        if src.buf == dst.buf && src.off < dst.end() && dst.off < src.end() {
+                            return Err(ValidationError::CopyOverlap { rank, src, dst });
+                        }
+                    }
+                }
+            }
+            for (req, &(post, wait)) in reqs.iter().enumerate() {
+                let req = req as u32;
+                if post == UNSET {
+                    return Err(ValidationError::BadRequest { rank, req });
+                }
+                if wait == UNSET {
+                    return Err(ValidationError::UnwaitedRequest { rank, req });
+                }
+            }
+            m.partner.push(vec![None; prog.ops.len()]);
+            m.reqs.push(reqs);
+            m.buffers.push(sizes);
+            m.progs.push(prog);
+        }
+
+        // The sort is stable: each channel's sends, then its receives, both
+        // in program order (one rank posts all of either kind). Channels
+        // come out ascending, so a broken schedule reports its smallest
+        // failing channel whatever order the ranks were built in.
+        posts.sort_by_key(|&(chan, is_recv, _)| (chan, is_recv));
+        for channel in posts.chunk_by(|a, b| a.0 == b.0) {
+            let (from, to, tag) = channel[0].0;
+            let (sends, recvs) = channel.split_at(channel.partition_point(|p| !p.1));
+            if sends.len() != recvs.len() {
+                return Err(ValidationError::MatchFailure {
+                    from,
+                    to,
+                    tag,
+                    sends: sends.len(),
+                    recvs: recvs.len(),
+                });
+            }
+            for (index, (&(_, _, send), &(_, _, recv))) in sends.iter().zip(recvs).enumerate() {
+                let send_len = m.progs[from as usize].ops[send].op.bytes();
+                let recv_len = m.progs[to as usize].ops[recv].op.bytes();
+                if send_len != recv_len {
+                    return Err(ValidationError::MatchLengthFailure {
+                        from,
+                        to,
+                        tag,
+                        index,
+                        send_len,
+                        recv_len,
+                    });
+                }
+                m.partner[from as usize][send] = Some((to, recv));
+                m.partner[to as usize][recv] = Some((from, send));
+            }
+        }
+        Ok(m)
+    }
+
+    pub fn nranks(&self) -> usize {
+        self.progs.len()
+    }
+
+    pub fn prog(&self, rank: Rank) -> &RankProgram {
+        &self.progs[rank as usize]
+    }
+
+    /// Rank `rank`'s buffer sizes, indexed by [`crate::BufId`].
+    pub fn buffers(&self, rank: Rank) -> &[Bytes] {
+        &self.buffers[rank as usize]
+    }
+
+    /// The matched peer `(rank, op)` of the message op at `op` — the
+    /// receive a send pairs with and vice versa; `None` for a `Copy` or a
+    /// `WaitAll`.
+    pub fn partner(&self, rank: Rank, op: usize) -> Option<(Rank, usize)> {
+        self.partner[rank as usize][op]
+    }
+
+    /// The `Isend` / `Irecv` that posts request `req` of `rank`.
+    pub fn post_op(&self, rank: Rank, req: u32) -> usize {
+        self.reqs[rank as usize][req as usize].0
+    }
+
+    /// The first `WaitAll` of `rank` covering request `req`: where the
+    /// request completes.
+    pub fn first_wait(&self, rank: Rank, req: u32) -> usize {
+        self.reqs[rank as usize][req as usize].1
+    }
+
+    /// The matched send of request `req`, if `req` is a receive.
+    fn send_for(&self, rank: Rank, req: u32) -> Option<(Rank, usize)> {
+        let post = self.post_op(rank, req);
+        match self.prog(rank).ops[post].op {
+            Op::Irecv { .. } => self.partner(rank, post),
+            _ => None,
+        }
+    }
+
+    /// The receives that complete at op `wait_op` of `rank` — those it is
+    /// the first `WaitAll` to cover — in request order, each as
+    /// `(receive op, (sender, send op))`. Empty for any other op.
+    pub fn arrivals(
+        &self,
+        rank: Rank,
+        wait_op: usize,
+    ) -> impl Iterator<Item = (usize, (Rank, usize))> + '_ {
+        let range = match self.prog(rank).ops[wait_op].op {
+            Op::WaitAll { first_req, count } => first_req..first_req + count,
+            _ => 0..0,
+        };
+        range
+            .filter(move |&req| self.first_wait(rank, req) == wait_op)
+            .filter_map(move |req| Some((self.post_op(rank, req), self.send_for(rank, req)?)))
+    }
+
+    /// Visit every op once, in an order a real run could take: ranks in
+    /// turn, each running until it reaches a `WaitAll` covering a receive
+    /// whose matched send has not been visited yet, round after round until
+    /// a round visits nothing. `visit(rank, op)` therefore sees a rank's ops
+    /// in program order and every send before the wait that delivers it.
+    /// Returns `false` when ranks are left blocked — a deadlock even with
+    /// eager sends — with exactly their remaining ops unvisited.
+    ///
+    /// Which legal order is taken does not matter to any analysis result: a
+    /// rank's state depends only on its own earlier ops and on sends already
+    /// visited, and results that keep event order (the prover's finding
+    /// list) are sorted before they are reported.
+    pub fn walk(&self, mut visit: impl FnMut(Rank, usize)) -> bool {
+        let mut pc = vec![0usize; self.nranks()];
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for rank in 0..self.nranks() as Rank {
+                let ops = &self.prog(rank).ops;
+                while let Some(top) = ops.get(pc[rank as usize]) {
+                    if let Op::WaitAll { first_req, count } = top.op {
+                        let blocked = (first_req..first_req + count).any(|req| {
+                            self.send_for(rank, req)
+                                .is_some_and(|(sender, send)| pc[sender as usize] <= send)
+                        });
+                        if blocked {
+                            break;
+                        }
+                    }
+                    visit(rank, pc[rank as usize]);
+                    pc[rank as usize] += 1;
+                    progressed = true;
+                }
+            }
+        }
+        pc.iter()
+            .zip(&self.progs)
+            .all(|(&pc, prog)| pc == prog.ops.len())
+    }
+
+    /// Per-level traffic statistics on `grid` (whose world size must be
+    /// [`Matched::nranks`]).
+    pub fn stats(&self, grid: &ProcGrid) -> ScheduleStats {
+        let mut stats = ScheduleStats::default();
+        for (rank, prog) in self.progs.iter().enumerate() {
+            stats.tmp_bytes += self.buffers[rank].iter().skip(2).sum::<Bytes>();
+            let mut sends = 0usize;
+            let mut internode_sends = 0usize;
+            for top in &prog.ops {
+                match top.op {
+                    Op::Isend { to, block, .. } => {
+                        let li = level_index(grid.level(rank as Rank, to));
+                        stats.msgs[li] += 1;
+                        stats.bytes[li] += block.len;
+                        sends += 1;
+                        if li == 3 {
+                            internode_sends += 1;
+                        }
+                    }
+                    Op::Copy { src, .. } => stats.copy_bytes += src.len,
+                    Op::Irecv { .. } | Op::WaitAll { .. } => {}
+                }
+            }
+            stats.max_sends_per_rank = stats.max_sends_per_rank.max(sends);
+            stats.max_internode_sends_per_rank =
+                stats.max_internode_sends_per_rank.max(internode_sends);
+        }
+        stats
+    }
+}
+
 /// Validate `source` against `grid` and collect traffic statistics.
 pub fn validate(
     source: &dyn ScheduleSource,
     grid: &ProcGrid,
 ) -> Result<ScheduleStats, ValidationError> {
-    let n = source.nranks();
-    if n != grid.world_size() {
+    if source.nranks() != grid.world_size() {
         return Err(ValidationError::WorldSizeMismatch {
-            schedule: n,
+            schedule: source.nranks(),
             grid: grid.world_size(),
         });
     }
-
-    let mut stats = ScheduleStats::default();
-    let mut matching: MatchLedger = HashMap::new();
-
-    for rank in 0..n as Rank {
-        let sizes = source.buffers(rank);
-        stats.tmp_bytes += sizes.iter().skip(2).sum::<Bytes>();
-        let prog = source.build_rank(rank);
-        let mut posted = vec![false; prog.n_reqs as usize];
-        let mut waited = vec![false; prog.n_reqs as usize];
-        let mut sends = 0usize;
-        let mut internode_sends = 0usize;
-
-        let check_block = |block: Block| -> Result<(), ValidationError> {
-            match sizes.get(block.buf.0 as usize) {
-                Some(&sz) if block.end() <= sz && block.len > 0 => Ok(()),
-                Some(&sz) => Err(ValidationError::BadBlock {
-                    rank,
-                    block,
-                    bufsize: Some(sz),
-                }),
-                None => Err(ValidationError::BadBlock {
-                    rank,
-                    block,
-                    bufsize: None,
-                }),
-            }
-        };
-        let post = |req: u32, posted: &mut Vec<bool>| -> Result<(), ValidationError> {
-            match posted.get_mut(req as usize) {
-                Some(p) if !*p => {
-                    *p = true;
-                    Ok(())
-                }
-                _ => Err(ValidationError::BadRequest { rank, req }),
-            }
-        };
-
-        for top in &prog.ops {
-            match top.op {
-                Op::Isend {
-                    to,
-                    block,
-                    tag,
-                    req,
-                } => {
-                    check_block(block)?;
-                    post(req, &mut posted)?;
-                    if to == rank {
-                        return Err(ValidationError::SelfMessage { rank });
-                    }
-                    if to as usize >= n {
-                        return Err(ValidationError::BadPeer { rank, peer: to });
-                    }
-                    matching
-                        .entry((rank, to, tag))
-                        .or_default()
-                        .0
-                        .push(block.len);
-                    let li = level_index(grid.level(rank, to));
-                    stats.msgs[li] += 1;
-                    stats.bytes[li] += block.len;
-                    sends += 1;
-                    if li == 3 {
-                        internode_sends += 1;
-                    }
-                }
-                Op::Irecv {
-                    from,
-                    block,
-                    tag,
-                    req,
-                } => {
-                    check_block(block)?;
-                    post(req, &mut posted)?;
-                    if from == rank {
-                        return Err(ValidationError::SelfMessage { rank });
-                    }
-                    if from as usize >= n {
-                        return Err(ValidationError::BadPeer { rank, peer: from });
-                    }
-                    matching
-                        .entry((from, rank, tag))
-                        .or_default()
-                        .1
-                        .push(block.len);
-                }
-                Op::WaitAll { first_req, count } => {
-                    for req in first_req..first_req + count {
-                        match waited.get_mut(req as usize) {
-                            Some(w) => {
-                                if !posted[req as usize] {
-                                    return Err(ValidationError::WaitBeforePost { rank, req });
-                                }
-                                *w = true
-                            }
-                            None => return Err(ValidationError::BadRequest { rank, req }),
-                        }
-                    }
-                }
-                Op::Copy { src, dst } => {
-                    check_block(src)?;
-                    check_block(dst)?;
-                    if src.buf == dst.buf && src.off < dst.end() && dst.off < src.end() {
-                        return Err(ValidationError::CopyOverlap { rank, src, dst });
-                    }
-                    stats.copy_bytes += src.len;
-                }
-            }
-        }
-
-        for req in 0..prog.n_reqs {
-            if !posted[req as usize] {
-                return Err(ValidationError::BadRequest { rank, req });
-            }
-            if !waited[req as usize] {
-                return Err(ValidationError::UnwaitedRequest { rank, req });
-            }
-        }
-        stats.max_sends_per_rank = stats.max_sends_per_rank.max(sends);
-        stats.max_internode_sends_per_rank =
-            stats.max_internode_sends_per_rank.max(internode_sends);
-    }
-
-    // Report the smallest failing channel, so the error is a function of
-    // the schedule and not of `HashMap` iteration order.
-    let failed = matching
-        .iter()
-        .filter(|(_, (sends, recvs))| sends != recvs)
-        .min_by_key(|(key, _)| **key);
-    if let Some((&(from, to, tag), (sends, recvs))) = failed {
-        if sends.len() != recvs.len() {
-            return Err(ValidationError::MatchFailure {
-                from,
-                to,
-                tag,
-                sends: sends.len(),
-                recvs: recvs.len(),
-            });
-        }
-        let index = (0..sends.len())
-            .find(|&i| sends[i] != recvs[i])
-            .expect("equal-length ledgers that differ have a differing entry");
-        return Err(ValidationError::MatchLengthFailure {
-            from,
-            to,
-            tag,
-            index,
-            send_len: sends[index],
-            recv_len: recvs[index],
-        });
-    }
-
-    Ok(stats)
+    Ok(Matched::build(source)?.stats(grid))
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The prepared-schedule cache: compile + validate + lint once per
+//! The prepared-schedule cache: prepare + match + lint + prove once per
 //! distinct `(algorithm, topology, counts, window)` key, then serve every
 //! repeat submission from an `Arc`-shared owned [`PreparedSchedule`].
 //!
@@ -14,9 +14,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use a2a_core::{A2AContext, AlgoSchedule, AlltoallAlgorithm};
-use a2a_lint::{lint_schedule, prove_pass, LintConfig};
+use a2a_lint::{analyze_matched, prove_matched, LintConfig};
 use a2a_sched::analysis::provenance::SemanticsSpec;
-use a2a_sched::{validate, PreparedSchedule, ScheduleStats};
+use a2a_sched::{Matched, PreparedSchedule, ScheduleStats};
 use a2a_topo::ProcGrid;
 
 /// What makes two collective submissions share a compiled schedule.
@@ -110,8 +110,10 @@ pub struct CachedSchedule {
     pub prove_ns: u64,
 }
 
-/// Compile + validate + lint + prove one uniform all-to-all — the full
-/// cold-miss admission pipeline, run exactly once per cache key. A
+/// Prepare → match → safety lints → prove one uniform all-to-all — the
+/// full cold-miss admission pipeline, run exactly once per cache key. Every
+/// rank program is generated once, into the prepared schedule; validation
+/// and both analyses then read one [`Matched`] table over borrows of it. A
 /// schedule the prover rejects (wrong-source, missing, or clobbered bytes)
 /// returns `Err` and is therefore never cached: a poisoned entry cannot be
 /// served to later submissions.
@@ -123,8 +125,12 @@ pub fn compile_alltoall(
 ) -> Result<CachedSchedule, CompileError> {
     let key = CacheKey::alltoall(algo, grid, block_bytes, lint.send_window);
     let sched = AlgoSchedule::new(algo, A2AContext::new(grid.clone(), block_bytes));
-    let stats = validate(&sched, grid).map_err(|e| CompileError::Validation(e.to_string()))?;
-    let report = lint_schedule(key.to_string(), &sched, grid, lint);
+    // Programs are generator-built (owned Cows), so this moves them: the
+    // prepare path performs no clone.
+    let prep = PreparedSchedule::new_owned(&sched);
+    let matched = Matched::build(&prep).map_err(|e| CompileError::Validation(e.to_string()))?;
+    let stats = matched.stats(grid);
+    let report = analyze_matched(key.to_string(), &matched, lint, None);
     if report.errors() > 0 {
         return Err(CompileError::Lint {
             errors: report.errors(),
@@ -134,7 +140,7 @@ pub fn compile_alltoall(
     let lint_warnings = report.warnings();
     let spec = SemanticsSpec::alltoall(grid.world_size(), block_bytes);
     let t0 = Instant::now();
-    let proof = prove_pass(key.to_string(), &sched, &spec);
+    let proof = prove_matched(key.to_string(), &matched, &spec);
     let prove_ns = t0.elapsed().as_nanos() as u64;
     if proof.errors() > 0 {
         return Err(CompileError::Prove {
@@ -143,9 +149,8 @@ pub fn compile_alltoall(
         });
     }
     let prove_warnings = proof.warnings();
-    // Programs were generator-built (owned Cows), so this moves them:
-    // the prepare path performs no clone.
-    let prep = PreparedSchedule::new_owned(&sched);
+    // `matched` ends here: the table is an admission-time value no executor
+    // reads, so the cached entry does not carry it.
     Ok(CachedSchedule {
         key,
         prep,
@@ -415,6 +420,51 @@ mod tests {
             }
             p
         }
+    }
+
+    /// Pairwise, counting every rank program it generates.
+    #[derive(Default)]
+    struct CountingPairwise(std::sync::atomic::AtomicUsize);
+
+    impl AlltoallAlgorithm for CountingPairwise {
+        fn name(&self) -> String {
+            "counting-pairwise".into()
+        }
+        fn phase_names(&self) -> Vec<&'static str> {
+            PairwiseAlltoall.phase_names()
+        }
+        fn buffers(&self, ctx: &A2AContext, rank: u32) -> Vec<u64> {
+            PairwiseAlltoall.buffers(ctx, rank)
+        }
+        fn build_rank(&self, ctx: &A2AContext, rank: u32) -> a2a_sched::RankProgram {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            PairwiseAlltoall.build_rank(ctx, rank)
+        }
+    }
+
+    #[test]
+    fn admission_generates_every_rank_program_exactly_once() {
+        // Every analysis reads the one matched table, so neither a cold
+        // compile nor a full analysis of a generator source builds a rank
+        // twice (validate, lint, prove and prepare each used to build all).
+        let n = grid().world_size();
+        let algo = CountingPairwise::default();
+        let built = || algo.0.swap(0, std::sync::atomic::Ordering::Relaxed);
+
+        compile_alltoall(&algo, &grid(), 64, &LintConfig::default()).unwrap();
+        assert_eq!(built(), n, "compile_alltoall");
+
+        let sched = AlgoSchedule::new(&algo, A2AContext::new(grid(), 64));
+        let spec = SemanticsSpec::alltoall(n, 64);
+        let report = a2a_lint::analyze_schedule(
+            "counted",
+            &sched,
+            &grid(),
+            &LintConfig::default(),
+            Some(&spec),
+        );
+        assert!(report.is_clean(), "{}", report.render_text());
+        assert_eq!(built(), n, "analyze_schedule");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! [`expected_code`]: Mutation::expected_code
 
-use a2a_sched::{Block, Bytes, Op, Phase, RankProgram, TimedOp, RBUF, SBUF};
+use a2a_sched::{Block, Bytes, Matched, Op, Phase, RankProgram, TimedOp, RBUF, SBUF};
 use a2a_topo::Rank;
 
 use crate::fixture::FixedSchedule;
@@ -468,21 +468,8 @@ fn split_message_same_tag(s: &mut FixedSchedule, rng: &mut Rng) -> bool {
         Op::Isend { to, tag, .. } => (to, tag, r as Rank),
         _ => unreachable!(),
     };
-    // FIFO position of this send on its channel.
-    let k = s.progs[r].ops[..i]
-        .iter()
-        .filter(|t| matches!(t.op, Op::Isend { to: t2, tag: g, .. } if t2 == to && g == tag))
-        .count();
-    // The k-th receive on the same channel, on the peer.
-    let peer = &s.progs[to as usize];
-    let recv_i = peer
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| matches!(t.op, Op::Irecv { from: f, tag: g, .. } if f == from && g == tag))
-        .nth(k)
-        .map(|(j, _)| j);
-    let Some(recv_i) = recv_i else {
+    // The receive this send is matched with, on the peer.
+    let Some((_, recv_i)) = Matched::build(s).ok().and_then(|m| m.partner(from, i)) else {
         return false;
     };
     if !split_op(&mut s.progs[r], i, |block, req| Op::Isend {
@@ -617,29 +604,6 @@ fn drop_block(s: &mut FixedSchedule, rng: &mut Rng) -> bool {
     true
 }
 
-/// The FIFO partner of the receive at `(rank, i)`: the op index on the
-/// sending rank of the k-th send on the receive's channel, where the
-/// receive is the k-th receive on that channel.
-fn fifo_partner_send(s: &FixedSchedule, rank: usize, i: usize) -> Option<(usize, usize)> {
-    let (from, tag) = match s.progs[rank].ops[i].op {
-        Op::Irecv { from, tag, .. } => (from, tag),
-        _ => return None,
-    };
-    let k = s.progs[rank].ops[..i]
-        .iter()
-        .filter(|t| matches!(t.op, Op::Irecv { from: f, tag: g, .. } if f == from && g == tag))
-        .count();
-    s.progs[from as usize]
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            matches!(t.op, Op::Isend { to, tag: g, .. } if to as usize == rank && g == tag)
-        })
-        .nth(k)
-        .map(|(j, _)| (from as usize, j))
-}
-
 /// Append a second delivery into a receive destination in the user receive
 /// buffer, after the whole schedule has run: the sender re-sends a
 /// *different* send-buffer block over bytes that were already correct.
@@ -647,8 +611,11 @@ fn fifo_partner_send(s: &FixedSchedule, rank: usize, i: usize) -> Option<(usize,
 /// and nothing races — but the prover sees correct bytes overwritten with
 /// wrong provenance (A2A009).
 fn double_delivery_clobber(s: &mut FixedSchedule, rng: &mut Rng) -> bool {
-    // Receives into RBUF whose FIFO-paired send reads SBUF (so the clobber
+    // Receives into RBUF whose matched send reads SBUF (so the clobber
     // payload's provenance is statically forced to differ).
+    let Ok(matched) = Matched::build(s) else {
+        return false;
+    };
     let mut cand: Vec<(usize, usize, usize, Block, Bytes)> = Vec::new();
     for (r, i) in sites(s, |op| matches!(op, Op::Irecv { .. })) {
         let block = match s.progs[r].ops[i].op {
@@ -658,9 +625,10 @@ fn double_delivery_clobber(s: &mut FixedSchedule, rng: &mut Rng) -> bool {
         if block.buf != RBUF || block.len == 0 {
             continue;
         }
-        let Some((sender, j)) = fifo_partner_send(s, r, i) else {
-            continue;
-        };
+        let (sender, j) = matched
+            .partner(r as Rank, i)
+            .expect("a receive of a matched schedule has its send");
+        let sender = sender as usize;
         let sblock = match s.progs[sender].ops[j].op {
             Op::Isend { block, .. } => block,
             _ => continue,

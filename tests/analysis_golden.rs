@@ -26,7 +26,7 @@ use alltoall_suite::netsim::{crit_params, models};
 use alltoall_suite::sched::analysis::{
     build_wait_graph, critical_path, prove_schedule, SemanticsSpec, SendMode,
 };
-use alltoall_suite::sched::{validate, RankProgram, ScheduleSource};
+use alltoall_suite::sched::{validate, Matched, ScheduleSource};
 use alltoall_suite::topo::{Machine, ProcGrid};
 
 /// Everything the analyses say about one schedule.
@@ -117,18 +117,16 @@ fn observe(algo: usize, bytes: u64, source: &dyn ScheduleSource, spec: &Semantic
     let grid = grid();
     let what = format!("{}/{bytes}", names()[algo]);
     let stats = validate(source, &grid).unwrap_or_else(|e| panic!("{what}: {e}"));
-    let crit = critical_path(source, &grid, &crit_params(&models::dane()), 1);
-    let progs: Vec<RankProgram> = (0..source.nranks() as u32)
-        .map(|r| source.build_rank(r))
-        .collect();
+    let matched = Matched::build(source).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let crit = critical_path(&matched, &grid, &crit_params(&models::dane()), 1);
     let edges = |mode| {
-        let g = build_wait_graph(&progs, mode);
+        let g = build_wait_graph(&matched, mode);
         (g.nodes.len(), g.edges.iter().map(Vec::len).sum::<usize>())
     };
     let (wait_nodes, rendezvous_edges) = edges(SendMode::Rendezvous);
     let (eager_nodes, eager_edges) = edges(SendMode::Eager);
     assert_eq!(wait_nodes, eager_nodes, "{what}: nodes depend on the mode");
-    let proof = prove_schedule(source, spec);
+    let proof = prove_schedule(&matched, spec);
     assert!(!proof.stuck, "{what}: prover stuck");
     Golden {
         algo,

@@ -15,7 +15,8 @@ use alltoall_suite::algos::*;
 use alltoall_suite::lint::{analyze_schedule, lint_schedule, Code, LintConfig, LintReport};
 use alltoall_suite::sched::analysis::SemanticsSpec;
 use alltoall_suite::sched::{
-    Block, Bytes, Phase, ProgBuilder, RankProgram, ScheduleSource, RBUF, SBUF,
+    validate, Block, Bytes, Op, Phase, ProgBuilder, RankProgram, ScheduleSource, TimedOp,
+    ValidationError, RBUF, SBUF,
 };
 use alltoall_suite::topo::{Machine, ProcGrid};
 use std::sync::Arc;
@@ -158,6 +159,64 @@ fn a2a000_flags_malformed_schedule() {
     let r = lint_fixed(
         &fixed(vec![b.finish(), RankProgram::default()], 8),
         &LintConfig::default(),
+    );
+    assert!(r.has(Code::Malformed), "{}", r.render_text());
+    assert_eq!(r.errors(), 1);
+}
+
+/// A 2-rank schedule whose rank 0 runs the single op `op` (rank 1 idles),
+/// with 16-byte buffers: validated directly and through the linter.
+fn validate_and_lint_one_op(op: Op) -> (Result<(), ValidationError>, LintReport) {
+    let p0 = RankProgram {
+        ops: vec![TimedOp {
+            op,
+            phase: Phase(0),
+        }],
+        n_reqs: 0,
+    };
+    let f = fixed(vec![p0, RankProgram::default()], 16);
+    let grid = ProcGrid::new(Machine::custom("t", 1, 1, 1, 2));
+    (
+        validate(&f, &grid).map(|_| ()),
+        lint_fixed(&f, &LintConfig::default()),
+    )
+}
+
+#[test]
+fn a2a000_flags_block_whose_end_overflows() {
+    // `off + len` wraps to 4: unchecked, a release build accepts the block
+    // as inside the 16-byte buffer and a debug build panics on the add.
+    let src = Block::new(SBUF, u64::MAX - 3, 8);
+    let (validated, r) = validate_and_lint_one_op(Op::Copy {
+        src,
+        dst: Block::new(RBUF, 0, 8),
+    });
+    assert_eq!(
+        validated,
+        Err(ValidationError::BadBlock {
+            rank: 0,
+            block: src,
+            bufsize: Some(16)
+        })
+    );
+    assert!(r.has(Code::Malformed), "{}", r.render_text());
+    assert_eq!(r.errors(), 1);
+}
+
+#[test]
+fn a2a000_flags_wait_range_that_overflows() {
+    // `first_req + count` wraps to 1: unchecked, a release build sees the
+    // empty range `MAX..1` and accepts a wait on requests that do not exist.
+    let (validated, r) = validate_and_lint_one_op(Op::WaitAll {
+        first_req: u32::MAX,
+        count: 2,
+    });
+    assert_eq!(
+        validated,
+        Err(ValidationError::BadRequest {
+            rank: 0,
+            req: u32::MAX
+        })
     );
     assert!(r.has(Code::Malformed), "{}", r.render_text());
     assert_eq!(r.errors(), 1);
