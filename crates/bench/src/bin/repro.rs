@@ -5,7 +5,6 @@
 //! repro fig10 fig11             # specific figures
 //! repro table1                  # system architecture table
 //! repro fig12 --scale full      # paper-scale nodes (112 ppn -> 3584 ranks)
-//! repro fig12 --scale full --workers 4   # same, on the sharded engine
 //!
 //! repro lint --all              # static analysis over the whole roster
 //! repro lint --all --deny warnings   # CI gate: any finding fails
@@ -22,9 +21,8 @@
 //!   --runs R       jittered runs per point, minimum reported (default 3)
 //!   --seed S       base seed (default 1)
 //!   --scale full|small
-//!   --workers N    simulator worker threads (shards); 1 = sequential
-//!                  engine, 0 = all host cores. Results are byte-identical
-//!                  for any value; only wall-clock changes
+//!   --workers N    (storm/serve only) service worker threads (storm
+//!                  default and minimum 2, serve default 1)
 //!   --out DIR      output directory (default results)
 //!   --deny warnings    (lint only) exit nonzero on warnings, not just errors
 //!   --window N     (lint only) A2A005 per-destination send window (default 32)
@@ -101,6 +99,7 @@ fn main() -> ExitCode {
     let mut lint_window: usize = 32;
     let mut serve_jobs: u64 = 2000;
     let mut tenants: u32 = 4;
+    let mut service_workers: usize = 1;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -129,7 +128,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--workers" => cfg.workers = number("--workers", &mut it),
+            "--workers" => service_workers = number("--workers", &mut it),
             "--out" => out_dir = PathBuf::from(value("--out", &mut it)),
             "--deny" => {
                 let what = value("--deny", &mut it);
@@ -172,7 +171,9 @@ fn main() -> ExitCode {
         figures.extend(known_figures().iter().map(|s| s.to_string()));
         want_table1 = true;
     }
-    figures.dedup();
+    // Run each named figure once, in the order first named.
+    let mut seen = std::collections::HashSet::new();
+    figures.retain(|f| seen.insert(f.clone()));
 
     println!("{}", cfg.run_header());
 
@@ -284,7 +285,7 @@ fn main() -> ExitCode {
             continue;
         }
         if name == "storm" {
-            let workers = cfg.workers.max(2);
+            let workers = service_workers.max(2);
             let (summary, report) = a2a_bench::storm(cfg.seed, workers);
             println!("\n{summary}");
             std::fs::create_dir_all(&out_dir).expect("create output dir");
@@ -301,7 +302,7 @@ fn main() -> ExitCode {
         }
         if name == "serve" {
             let nodes = if nodes_set { cfg.nodes } else { 4 };
-            let workers = cfg.workers.max(1);
+            let workers = service_workers.max(1);
             let (summary, stats) = a2a_bench::serve_demo(nodes, workers, tenants, serve_jobs);
             println!("\n{summary}");
             println!("  [serve done in {:.1?}]", start.elapsed());

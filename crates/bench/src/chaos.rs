@@ -13,9 +13,7 @@ use a2a_core::{
     MultileaderNodeAwareAlltoall, NodeAwareAlltoall, PairwiseAlltoall,
 };
 use a2a_faults::{FaultPlan, FaultSpec};
-use a2a_netsim::{
-    simulate_perturbed, simulate_sharded_perturbed, Perturb, ShardOptions, SimOptions,
-};
+use a2a_netsim::{simulate_perturbed, Perturb, SimOptions};
 use a2a_topo::ProcGrid;
 use serde::{Deserialize, Serialize};
 
@@ -43,12 +41,6 @@ pub struct ChaosResult {
     pub stragglers: Vec<u32>,
     /// Degraded directed node links `(from, to, multiplier)`.
     pub degraded_links: Vec<(usize, usize, f64)>,
-    /// Sharded-engine worker counts every faulty point was re-run at.
-    pub sharded_worker_counts: Vec<usize>,
-    /// Re-runs whose fault fate (total or any rank finish time) differed
-    /// from the sequential engine's, bit for bit. Must be zero: fault
-    /// outcomes are independent of the shard count.
-    pub sharded_mismatches: usize,
     pub points: Vec<ChaosPoint>,
 }
 
@@ -78,11 +70,6 @@ impl ChaosResult {
             out,
             "  stragglers: {:?}  degraded links: {:?}",
             self.stragglers, self.degraded_links
-        );
-        let _ = writeln!(
-            out,
-            "  sharded re-check: workers {:?}, {} mismatches",
-            self.sharded_worker_counts, self.sharded_mismatches
         );
         let _ = writeln!(
             out,
@@ -177,11 +164,6 @@ pub fn chaos(cfg: &RunConfig) -> ChaosResult {
         jitter: 0.0,
         seed: cfg.seed,
     };
-    // Fault fates must not depend on how the simulator is sharded: every
-    // faulty run is repeated on the parallel engine at these worker counts
-    // and compared bit for bit.
-    let worker_counts: Vec<usize> = [2usize, 4].into_iter().filter(|&w| w > 1).collect();
-    let mut sharded_mismatches = 0usize;
     let combined = &scenarios[2].perturb;
     let mut points = Vec::new();
     for sc in &scenarios {
@@ -192,28 +174,6 @@ pub fn chaos(cfg: &RunConfig) -> ChaosResult {
                     .unwrap_or_else(|e| panic!("{} clean (s={bytes}): {e}", algo.name()));
                 let faulty = simulate_perturbed(&sched, &grid, &model, &opts, &sc.perturb)
                     .unwrap_or_else(|e| panic!("{} {} (s={bytes}): {e}", algo.name(), sc.name));
-                for &w in &worker_counts {
-                    let sopts = ShardOptions::with_workers(w);
-                    let re = simulate_sharded_perturbed(
-                        &sched,
-                        &grid,
-                        &model,
-                        &opts,
-                        &sc.perturb,
-                        &sopts,
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!("{} {} sharded x{w} (s={bytes}): {e}", algo.name(), sc.name)
-                    });
-                    let same = re.total_us.to_bits() == faulty.total_us.to_bits()
-                        && re.rank_finish.len() == faulty.rank_finish.len()
-                        && re
-                            .rank_finish
-                            .iter()
-                            .zip(&faulty.rank_finish)
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
-                    sharded_mismatches += usize::from(!same);
-                }
                 points.push(ChaosPoint {
                     scenario: sc.name.to_string(),
                     algo: algo.name().to_string(),
@@ -238,8 +198,6 @@ pub fn chaos(cfg: &RunConfig) -> ChaosResult {
             .map(|(r, _)| r as u32)
             .collect(),
         degraded_links: combined.link_multiplier.clone(),
-        sharded_worker_counts: worker_counts,
-        sharded_mismatches,
         points,
     }
 }
@@ -291,17 +249,6 @@ mod tests {
         // Seeds differ => realized fault sets (almost surely) differ; at
         // minimum the CSVs must not be byte-identical.
         assert_ne!(a.csv(), b.csv());
-    }
-
-    #[test]
-    fn fault_fates_unchanged_by_shard_count() {
-        let res = chaos(&small_cfg());
-        assert_eq!(res.sharded_worker_counts, vec![2, 4]);
-        assert_eq!(
-            res.sharded_mismatches, 0,
-            "sharded engine changed a fault fate"
-        );
-        assert!(res.table().contains("sharded re-check"));
     }
 
     #[test]

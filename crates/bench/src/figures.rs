@@ -42,7 +42,7 @@ pub fn known_figures() -> Vec<&'static str> {
 }
 
 /// Run one figure by name. The returned figure carries the run header
-/// (machine shape + shard/worker layout) for CSV/JSON provenance.
+/// (machine shape, sweep settings, engine) for CSV/JSON provenance.
 pub fn figure_by_name(name: &str, cfg: &RunConfig) -> FigureData {
     let mut fig = figure_by_name_inner(name, cfg);
     fig.run_header.get_or_insert_with(|| cfg.run_header());
@@ -82,15 +82,7 @@ fn sweep_sizes(name: &str, title: &str, cfg: &RunConfig, roster: Roster) -> Figu
             points: DEFAULT_SIZES
                 .iter()
                 .map(|&s| {
-                    let rep = run_min(
-                        algo.as_ref(),
-                        &grid,
-                        &model,
-                        s,
-                        cfg.runs,
-                        cfg.seed,
-                        cfg.workers,
-                    );
+                    let rep = run_min(algo.as_ref(), &grid, &model, s, cfg.runs, cfg.seed);
                     (s as f64, rep.total_us)
                 })
                 .collect(),
@@ -240,15 +232,7 @@ fn fig_node_scaling(name: &str, s: u64, cfg: &RunConfig) -> FigureData {
         };
         let grid = sub.grid();
         for (i, (_, algo)) in roster.iter().enumerate() {
-            let rep = run_min(
-                algo.as_ref(),
-                &grid,
-                &model,
-                s,
-                cfg.runs,
-                cfg.seed,
-                cfg.workers,
-            );
+            let rep = run_min(algo.as_ref(), &grid, &model, s, cfg.runs, cfg.seed);
             series[i].points.push((nodes as f64, rep.total_us));
         }
     }
@@ -285,15 +269,7 @@ fn breakdown_sizes(
             points: Vec::new(),
         };
         for &s in &DEFAULT_SIZES {
-            let rep: SimReport = run_min(
-                algo.as_ref(),
-                &grid,
-                &model,
-                s,
-                cfg.runs,
-                cfg.seed,
-                cfg.workers,
-            );
+            let rep: SimReport = run_min(algo.as_ref(), &grid, &model, s, cfg.runs, cfg.seed);
             for (i, p) in phases.iter().enumerate() {
                 per_phase[i]
                     .points
@@ -379,7 +355,7 @@ fn fig15(cfg: &RunConfig) -> FigureData {
             ..cfg.clone()
         };
         let grid = sub.grid();
-        let rep = run_min(&algo, &grid, &model, 4096, cfg.runs, cfg.seed, cfg.workers);
+        let rep = run_min(&algo, &grid, &model, 4096, cfg.runs, cfg.seed);
         for (i, p) in phases.iter().enumerate() {
             series[i]
                 .points
@@ -420,7 +396,7 @@ fn fig16(cfg: &RunConfig) -> FigureData {
     group_sizes.sort_unstable();
     for g in group_sizes {
         let algo = NodeAwareAlltoall::locality_aware(g, ExchangeKind::Pairwise);
-        let rep = run_min(&algo, &grid, &model, 4096, cfg.runs, cfg.seed, cfg.workers);
+        let rep = run_min(&algo, &grid, &model, 4096, cfg.runs, cfg.seed);
         for (i, p) in phases.iter().enumerate() {
             series[i]
                 .points
@@ -553,7 +529,7 @@ fn ablation_grouping(cfg: &RunConfig) -> FigureData {
             let points = DEFAULT_SIZES
                 .iter()
                 .map(|&s| {
-                    let rep = run_min(&algo, &grid, &model, s, cfg.runs, cfg.seed, cfg.workers);
+                    let rep = run_min(&algo, &grid, &model, s, cfg.runs, cfg.seed);
                     (s as f64, rep.total_us)
                 })
                 .collect();
@@ -584,7 +560,7 @@ fn ablation_eager(cfg: &RunConfig) -> FigureData {
         let points = DEFAULT_SIZES
             .iter()
             .map(|&s| {
-                let rep = run_min(&algo, &grid, &model, s, cfg.runs, cfg.seed, cfg.workers);
+                let rep = run_min(&algo, &grid, &model, s, cfg.runs, cfg.seed);
                 (s as f64, rep.total_us)
             })
             .collect();

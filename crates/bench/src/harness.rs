@@ -9,9 +9,7 @@ use a2a_core::{
     MpichShmAlltoall, MultileaderNodeAwareAlltoall, NodeAwareAlltoall, NonblockingAlltoall,
     PairwiseAlltoall,
 };
-use a2a_netsim::{
-    models, simulate_min_of, simulate_min_of_sharded, CostModel, ShardOptions, SimReport,
-};
+use a2a_netsim::{models, simulate_min_of, CostModel, SimReport};
 use a2a_topo::{presets, Machine, ProcGrid};
 use serde::{Deserialize, Serialize};
 
@@ -34,10 +32,6 @@ pub struct RunConfig {
     pub runs: usize,
     /// Base RNG seed.
     pub seed: u64,
-    /// Simulator worker threads (shards). 1 = the sequential engine;
-    /// 0 = the host's available parallelism. Any value produces
-    /// byte-identical results — this only changes wall-clock.
-    pub workers: usize,
 }
 
 impl Default for RunConfig {
@@ -48,7 +42,6 @@ impl Default for RunConfig {
             full_scale: false,
             runs: 3,
             seed: 1,
-            workers: 1,
         }
     }
 }
@@ -62,24 +55,13 @@ impl RunConfig {
         models::for_machine(&self.machine)
     }
 
-    /// Resolved worker count (0 = available parallelism, capped at nodes).
-    pub fn resolved_workers(&self) -> usize {
-        let w = if self.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            self.workers
-        };
-        w.clamp(1, self.nodes)
-    }
-
     /// The run-header line recorded in figure CSV/JSON output: the machine
-    /// shape plus the shard/worker layout of the simulator that produced
-    /// the data.
+    /// shape, the sweep settings, and the engine that produced the data
+    /// (one simulator thread).
     pub fn run_header(&self) -> String {
         let grid = self.grid();
-        let workers = self.resolved_workers();
         format!(
-            "machine={} nodes={} ppn={} ranks={} scale={} runs={} seed={} workers={} shards={} engine={}",
+            "machine={} nodes={} ppn={} ranks={} scale={} runs={} seed={} workers=1 shards=1 engine=sequential",
             self.machine,
             self.nodes,
             grid.machine().ppn(),
@@ -87,9 +69,6 @@ impl RunConfig {
             if self.full_scale { "full" } else { "small" },
             self.runs,
             self.seed,
-            workers,
-            workers,
-            if workers > 1 { "sharded" } else { "sequential" },
         )
     }
 }
@@ -136,8 +115,6 @@ pub fn bench_roster() -> Vec<Box<dyn AlltoallAlgorithm>> {
 }
 
 /// Simulate one algorithm at one size: min of `runs` jittered executions.
-/// `workers > 1` routes through the sharded parallel engine, which is
-/// byte-identical to the sequential one for any worker count.
 pub fn run_min(
     algo: &dyn AlltoallAlgorithm,
     grid: &ProcGrid,
@@ -145,17 +122,10 @@ pub fn run_min(
     s: u64,
     runs: usize,
     seed: u64,
-    workers: usize,
 ) -> SimReport {
     let sched = AlgoSchedule::new(algo, A2AContext::new(grid.clone(), s));
-    if workers == 1 {
-        simulate_min_of(&sched, grid, model, runs, seed)
-            .unwrap_or_else(|e| panic!("{} (s={s}): {e}", algo.name()))
-    } else {
-        let sopts = ShardOptions::with_workers(workers);
-        simulate_min_of_sharded(&sched, grid, model, runs, seed, &sopts)
-            .unwrap_or_else(|e| panic!("{} (s={s}): {e}", algo.name()))
-    }
+    simulate_min_of(&sched, grid, model, runs, seed)
+        .unwrap_or_else(|e| panic!("{} (s={s}): {e}", algo.name()))
 }
 
 /// One plotted line.
@@ -175,9 +145,9 @@ pub struct FigureData {
     pub title: String,
     /// "bytes" or "nodes".
     pub x_label: String,
-    /// Provenance line ([`RunConfig::run_header`]): machine shape and the
-    /// shard/worker layout of the engine that produced the data. Emitted
-    /// as a `#` comment ahead of the CSV header and carried in the JSON.
+    /// Provenance line ([`RunConfig::run_header`]): machine shape, sweep
+    /// settings and engine. Emitted as a `#` comment ahead of the CSV
+    /// header and carried in the JSON.
     pub run_header: Option<String>,
     pub series: Vec<Series>,
 }
@@ -322,8 +292,8 @@ mod tests {
         };
         let grid = cfg.grid();
         let model = cfg.model();
-        let rep = run_min(&PairwiseAlltoall, &grid, &model, 64, 3, 1, 1);
-        let single = run_min(&PairwiseAlltoall, &grid, &model, 64, 1, 1, 1);
+        let rep = run_min(&PairwiseAlltoall, &grid, &model, 64, 3, 1);
+        let single = run_min(&PairwiseAlltoall, &grid, &model, 64, 1, 1);
         // Jittered minimum should be within noise of the exact run.
         assert!((rep.total_us - single.total_us).abs() / single.total_us < 0.2);
     }

@@ -82,16 +82,7 @@ pub fn tune(cfg: &RunConfig) -> TuneResult {
     for &s in &DEFAULT_SIZES {
         let mut best: Option<(usize, f64)> = None;
         for (i, (_, _, algo)) in candidates.iter().enumerate() {
-            let us = run_min(
-                algo.as_ref(),
-                &grid,
-                &model,
-                s,
-                cfg.runs,
-                cfg.seed,
-                cfg.workers,
-            )
-            .total_us;
+            let us = run_min(algo.as_ref(), &grid, &model, s, cfg.runs, cfg.seed).total_us;
             if best.is_none() || us < best.unwrap().1 {
                 best = Some((i, us));
             }

@@ -1,4 +1,4 @@
-//! The discrete-event engine: public API and drivers.
+//! The discrete-event engine: public API.
 //!
 //! Execution model: every rank owns a virtual clock and a program cursor;
 //! the event core in `shard.rs` advances the runnable rank with the
@@ -7,16 +7,8 @@
 //! and wake when the last awaited request completes. Per-node shared
 //! resources (NIC injection/ejection, memory buses) are reserved in event
 //! order, which keeps the simulation deterministic for a fixed seed.
-//!
-//! Two drivers execute that core:
-//!
-//! * [`simulate`] / [`simulate_perturbed`] — one shard spanning every
-//!   node, a plain heap loop (the sequential engine).
-//! * [`simulate_sharded`] and friends — nodes partitioned into contiguous
-//!   shards, one worker thread each under `std::thread::scope`, advancing
-//!   barrier-free behind the conservative lookahead horizon of
-//!   `horizon.rs`. Output is **byte-identical** to the sequential engine
-//!   for any worker count; see `shard.rs` for the determinism discipline.
+//! [`simulate`] / [`simulate_perturbed`] run that core on one thread over
+//! every node.
 //!
 //! Protocol semantics:
 //! * **Eager** (`bytes <= eager_threshold`): the send request completes as
@@ -33,17 +25,12 @@
 //!   posted-queue depth — the costs that penalize huge non-blocking
 //!   windows at scale.
 
-use std::sync::atomic::Ordering;
-
 use a2a_sched::ScheduleSource;
 use a2a_topo::{ProcGrid, Rank};
 
-use crate::horizon::{link_floors, node_ranges, ShardSync};
 use crate::model::CostModel;
 use crate::report::SimReport;
-use crate::shard::{Ctx, Event, Shard};
-
-pub use crate::horizon::ShardStats;
+use crate::shard::{Ctx, Shard};
 
 /// Simulation options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,38 +39,6 @@ pub struct SimOptions {
     pub jitter: f64,
     /// Noise seed.
     pub seed: u64,
-}
-
-/// Options for the sharded parallel engine.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardOptions {
-    /// Worker threads (= shards; capped at the node count). 0 means "use
-    /// the host's available parallelism".
-    pub workers: usize,
-    /// Multiplier in `(0, 1]` on the conservative lookahead horizon.
-    /// 1.0 uses the full safe horizon; smaller values synchronize more
-    /// often but must never change the result (lookahead-safety tests).
-    /// Values outside the interval are treated as 1.0.
-    pub lookahead_scale: f64,
-}
-
-impl Default for ShardOptions {
-    fn default() -> Self {
-        ShardOptions {
-            workers: 1,
-            lookahead_scale: 1.0,
-        }
-    }
-}
-
-impl ShardOptions {
-    /// `workers` threads with the full lookahead horizon.
-    pub fn with_workers(workers: usize) -> Self {
-        ShardOptions {
-            workers,
-            ..Default::default()
-        }
-    }
 }
 
 /// Deterministic perturbations applied on top of the cost model: straggler
@@ -164,232 +119,54 @@ pub fn simulate_perturbed(
     opts: &SimOptions,
     perturb: &Perturb,
 ) -> Result<SimReport, SimError> {
-    let (phase_names, nphases) = phase_meta(source, grid);
-    let ctx = Ctx::new(grid, model, perturb, opts.jitter, nphases);
-    let mut shard = Shard::build(&ctx, 0, 0, ctx.nodes(), source, opts.seed);
-    run_single(&mut shard);
-    assemble(&[shard], phase_names, nphases)
+    run(source, grid, model, opts, perturb).map(|(rep, _)| rep)
 }
 
-/// [`simulate_sharded_perturbed`] without perturbations.
-pub fn simulate_sharded(
-    source: &(dyn ScheduleSource + Sync),
-    grid: &ProcGrid,
-    model: &CostModel,
-    opts: &SimOptions,
-    sopts: &ShardOptions,
-) -> Result<SimReport, SimError> {
-    simulate_sharded_perturbed(source, grid, model, opts, &Perturb::default(), sopts)
-}
-
-/// Run the conservative parallel engine: nodes partitioned into contiguous
-/// shards, one worker thread each. Byte-identical to [`simulate_perturbed`]
-/// for any worker count.
-pub fn simulate_sharded_perturbed(
-    source: &(dyn ScheduleSource + Sync),
+/// Run the event core to completion; the report and the events processed.
+fn run(
+    source: &dyn ScheduleSource,
     grid: &ProcGrid,
     model: &CostModel,
     opts: &SimOptions,
     perturb: &Perturb,
-    sopts: &ShardOptions,
-) -> Result<SimReport, SimError> {
-    simulate_sharded_stats(source, grid, model, opts, perturb, sopts).map(|(rep, _)| rep)
-}
-
-/// [`simulate_sharded_perturbed`], also returning engine statistics
-/// (events processed, cross-shard traffic, causality-violation count).
-pub fn simulate_sharded_stats(
-    source: &(dyn ScheduleSource + Sync),
-    grid: &ProcGrid,
-    model: &CostModel,
-    opts: &SimOptions,
-    perturb: &Perturb,
-    sopts: &ShardOptions,
-) -> Result<(SimReport, ShardStats), SimError> {
-    let (phase_names, nphases) = phase_meta(source, grid);
-    let ctx = Ctx::new(grid, model, perturb, opts.jitter, nphases);
-    let nodes = ctx.nodes();
-    let requested = if sopts.workers == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        sopts.workers
-    };
-    let scale = if sopts.lookahead_scale > 0.0 && sopts.lookahead_scale <= 1.0 {
-        sopts.lookahead_scale
-    } else {
-        1.0
-    };
-
-    let mut nshards = requested.clamp(1, nodes);
-    let mut sync = None;
-    if nshards > 1 {
-        let floors = link_floors(grid, model, perturb);
-        // A zero/degenerate link floor leaves no safe horizon: fall back
-        // to the sequential single-shard path.
-        match ShardSync::new(&node_ranges(nodes, nshards), &floors, scale) {
-            Some(s) => sync = Some(s),
-            None => nshards = 1,
-        }
-    }
-
-    if nshards == 1 {
-        let mut shard = Shard::build(&ctx, 0, 0, nodes, source, opts.seed);
-        run_single(&mut shard);
-        let stats = ShardStats {
-            shards: 1,
-            workers: 1,
-            events: shard.events,
-            cross_events: 0,
-            causality_violations: 0,
-        };
-        return assemble(&[shard], phase_names, nphases).map(|rep| (rep, stats));
-    }
-
-    let sync = sync.expect("sync built for nshards > 1");
-    let ranges = node_ranges(nodes, nshards);
-    let ctx_ref = &ctx;
-    let sync_ref = &sync;
-    let shards: Vec<Shard> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .map(|(id, &(lo, hi))| {
-                scope.spawn(move || {
-                    // Build inside the worker so schedule construction
-                    // parallelizes too, then announce the seeded events
-                    // before anyone can observe a zero pending count.
-                    let mut shard = Shard::build(ctx_ref, id, lo, hi, source, opts.seed);
-                    sync_ref
-                        .pending
-                        .fetch_add(shard.queued() as i64, Ordering::SeqCst);
-                    sync_ref.ready(id);
-                    run_worker(&mut shard, sync_ref);
-                    shard
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let stats = ShardStats {
-        shards: nshards,
-        workers: nshards,
-        events: shards.iter().map(|s| s.events).sum(),
-        cross_events: sync.cross_events.load(Ordering::Relaxed),
-        causality_violations: shards.iter().map(|s| s.violations).sum(),
-    };
-    assemble(&shards, phase_names, nphases).map(|rep| (rep, stats))
-}
-
-fn phase_meta(source: &dyn ScheduleSource, grid: &ProcGrid) -> (Vec<String>, usize) {
+) -> Result<(SimReport, u64), SimError> {
     let n = source.nranks();
     assert_eq!(n, grid.world_size(), "schedule/grid world size mismatch");
     let phase_names: Vec<String> = source.phase_names().iter().map(|s| s.to_string()).collect();
     let nphases = phase_names.len().max(1);
-    (phase_names, nphases)
+    let ctx = Ctx::new(grid, model, perturb, opts.jitter, nphases);
+    let mut shard = Shard::build(&ctx, source, opts.seed);
+    shard.run_until();
+    assemble(&shard, phase_names, nphases).map(|rep| (rep, shard.events))
 }
 
-/// Sequential driver: one shard owns everything, no synchronization.
-fn run_single(shard: &mut Shard) {
-    let mut out = Vec::new();
-    shard.run_until(f64::INFINITY, &mut out);
-    debug_assert!(out.is_empty(), "single shard emitted cross-shard event");
-}
-
-/// Conservative parallel worker: advance barrier-free behind the lookahead
-/// horizon, publish monotone bounds, stop when no events remain anywhere.
-fn run_worker(shard: &mut Shard, sync: &ShardSync) {
-    let s = shard.id;
-    let mut out: Vec<Event> = Vec::new();
-    loop {
-        // Horizon first, inbox second: anything a peer emitted under a
-        // bound we are about to read was flushed to our inbox before that
-        // bound was published, so it cannot be missed below.
-        let mut h = f64::INFINITY;
-        for u in 0..sync.nshards() {
-            if u != s {
-                h = h.min(sync.bound(u) + sync.lookahead(u, s));
-            }
-        }
-
-        let mut drained = false;
-        for ev in sync.take_inbox(s) {
-            drained = true;
-            shard.accept(ev);
-        }
-
-        let queued = shard.queued() as i64;
-        let processed = shard.run_until(h, &mut out);
-
-        // One atomic delta per batch — events it created minus events it
-        // consumed — keeps the live-event counter exact. It is applied
-        // before the batch's cross-shard events are handed over, so a peer
-        // can never consume (and subtract) an event not yet counted.
-        let delta = shard.queued() as i64 - queued + out.len() as i64;
-        if delta != 0 {
-            sync.pending.fetch_add(delta, Ordering::SeqCst);
-        }
-        if !out.is_empty() {
-            sync.cross_events
-                .fetch_add(out.len() as u64, Ordering::Relaxed);
-            for e in out.drain(..) {
-                sync.push_cross(shard.ctx.node_of(e.dest_rank()), e);
-            }
-        }
-
-        // Publish the guarantee *after* flushing every emission above:
-        // nothing this shard ever processes — current queues, or future
-        // arrivals (all >= h by the lookahead argument) — sits below it.
-        sync.publish(s, shard.next_time().min(h));
-
-        if sync.all_ready() && sync.pending.load(Ordering::SeqCst) == 0 {
-            break;
-        }
-        if processed == 0 && !drained {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// Stitch shard results into one report, iterating shards (ordered by
-/// node range) and ranks (ordered within each shard) so every reduction
-/// runs in global rank order — bit-identical for any shard count.
+/// Fold the ranks' clocks and phase times into one report, in rank order.
 fn assemble(
-    shards: &[Shard],
+    shard: &Shard,
     phase_names: Vec<String>,
     nphases: usize,
 ) -> Result<SimReport, SimError> {
-    let world: usize = shards.iter().map(|s| s.ranks.len()).sum();
+    let world = shard.ranks.len();
     let mut unfinished = 0;
     let mut rank_finish = Vec::with_capacity(world);
     let mut phase_max = vec![0.0f64; nphases];
     let mut phase_sum = vec![0.0f64; nphases];
     let mut phase_rank0 = vec![0.0f64; nphases];
-    let mut msgs_per_level = [0usize; 4];
-    let mut bytes_per_level = [0u64; 4];
-    for shard in shards {
-        for st in &shard.ranks {
-            if !st.done() {
-                unfinished += 1;
-            }
-            rank_finish.push(st.clock);
-            for (p, &t) in st.phase_time.iter().enumerate() {
-                phase_max[p] = phase_max[p].max(t);
-                phase_sum[p] += t;
-            }
+    for st in &shard.ranks {
+        if !st.done() {
+            unfinished += 1;
         }
-        for i in 0..4 {
-            msgs_per_level[i] += shard.msgs_per_level[i];
-            bytes_per_level[i] += shard.bytes_per_level[i];
+        rank_finish.push(st.clock);
+        for (p, &t) in st.phase_time.iter().enumerate() {
+            phase_max[p] = phase_max[p].max(t);
+            phase_sum[p] += t;
         }
     }
     if unfinished > 0 {
         return Err(SimError::Deadlock { unfinished });
     }
-    if let Some(first) = shards.first() {
-        if let Some(r0) = first.ranks.first() {
-            phase_rank0.copy_from_slice(&r0.phase_time);
-        }
+    if let Some(r0) = shard.ranks.first() {
+        phase_rank0.copy_from_slice(&r0.phase_time);
     }
     let total_us = rank_finish.iter().cloned().fold(0.0, f64::max);
     let phase_mean: Vec<f64> = phase_sum.iter().map(|s| s / world as f64).collect();
@@ -400,9 +177,49 @@ fn assemble(
         phase_max_us: phase_max,
         phase_mean_us: phase_mean,
         phase_rank0_us: phase_rank0,
-        msgs_per_level,
-        bytes_per_level,
+        msgs_per_level: shard.msgs_per_level,
+        bytes_per_level: shard.bytes_per_level,
     })
+}
+
+/// [`simulate_perturbed`] plus its event count. Only `benchmark/` calls
+/// it; ROADMAP item 1(a)'s benchmark-only change deletes it, as it does
+/// [`ShardStats`] and [`ShardOptions`].
+pub fn simulate_sharded_stats(
+    source: &dyn ScheduleSource,
+    grid: &ProcGrid,
+    model: &CostModel,
+    opts: &SimOptions,
+    perturb: &Perturb,
+    _sopts: &ShardOptions,
+) -> Result<(SimReport, ShardStats), SimError> {
+    let (rep, events) = run(source, grid, model, opts, perturb)?;
+    let stats = ShardStats {
+        events,
+        cross_events: 0,
+        causality_violations: 0,
+    };
+    Ok((rep, stats))
+}
+
+/// [`simulate_sharded_stats`]'s result; the last two fields are always 0.
+/// Only `benchmark/` reads it; ROADMAP item 1(a) deletes it.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardStats {
+    pub events: u64,
+    pub cross_events: u64,
+    pub causality_violations: u64,
+}
+
+/// [`simulate_sharded_stats`]'s options, none read. Only `benchmark/`
+/// builds one; ROADMAP item 1(a) deletes it.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardOptions;
+
+impl ShardOptions {
+    pub fn with_workers(_workers: usize) -> Self {
+        ShardOptions
+    }
 }
 
 #[cfg(test)]
@@ -587,20 +404,6 @@ mod tests {
             &grid,
             &crate::models::dane(),
             &SimOptions::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, SimError::Deadlock { unfinished: 2 });
-    }
-
-    #[test]
-    fn sharded_deadlock_detected_too() {
-        let grid = ProcGrid::new(Machine::custom("t", 2, 1, 1, 1));
-        let err = simulate_sharded(
-            &DeadSwap,
-            &grid,
-            &crate::models::dane(),
-            &SimOptions::default(),
-            &ShardOptions::with_workers(2),
         )
         .unwrap_err();
         assert_eq!(err, SimError::Deadlock { unfinished: 2 });
@@ -932,203 +735,5 @@ mod tests {
             rep.rank_finish[0] > min_queue_cost,
             "queue search not charged"
         );
-    }
-
-    /// All-to-all-ish exchange over several nodes: every rank sends one
-    /// message to every other rank. Exercises eager + rendezvous, intra +
-    /// inter node paths at once.
-    struct FullExchange {
-        s: Bytes,
-        grid: ProcGrid,
-    }
-
-    impl ScheduleSource for FullExchange {
-        fn nranks(&self) -> usize {
-            self.grid.world_size()
-        }
-        fn buffers(&self, _r: Rank) -> Vec<Bytes> {
-            let n = self.grid.world_size() as Bytes;
-            vec![self.s * n, self.s * n]
-        }
-        fn build_rank(&self, r: Rank) -> RankProgram {
-            let n = self.grid.world_size() as Rank;
-            let mut b = ProgBuilder::new(Phase(0));
-            let first = b.req_mark();
-            for i in 1..n {
-                let peer = (r + i) % n;
-                b.irecv(peer, Block::new(RBUF, peer as Bytes * self.s, self.s), 0);
-            }
-            for i in 1..n {
-                let peer = (r + n - i) % n;
-                b.isend(peer, Block::new(SBUF, peer as Bytes * self.s, self.s), 0);
-            }
-            b.waitall(first, 2 * (n - 1));
-            b.finish()
-        }
-        fn phase_names(&self) -> Vec<&'static str> {
-            vec!["a2a"]
-        }
-    }
-
-    fn identical(a: &SimReport, b: &SimReport) {
-        assert_eq!(a.total_us.to_bits(), b.total_us.to_bits());
-        assert_eq!(a.rank_finish.len(), b.rank_finish.len());
-        for (x, y) in a.rank_finish.iter().zip(&b.rank_finish) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in a.phase_mean_us.iter().zip(&b.phase_mean_us) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        assert_eq!(a.msgs_per_level, b.msgs_per_level);
-        assert_eq!(a.bytes_per_level, b.bytes_per_level);
-    }
-
-    #[test]
-    fn sharded_matches_sequential_bit_for_bit() {
-        let m = crate::models::dane();
-        for s in [64u64, 65536] {
-            let src = FullExchange {
-                s,
-                grid: ProcGrid::new(Machine::custom("t", 4, 1, 1, 4)),
-            };
-            let opts = SimOptions::default();
-            let seq = simulate(&src, &src.grid, &m, &opts).unwrap();
-            for workers in [1usize, 2, 3, 4, 8] {
-                let sh = simulate_sharded(
-                    &src,
-                    &src.grid,
-                    &m,
-                    &opts,
-                    &ShardOptions::with_workers(workers),
-                )
-                .unwrap();
-                identical(&seq, &sh);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_matches_sequential_with_jitter_and_perturb() {
-        let m = crate::models::dane();
-        let src = FullExchange {
-            s: 2048,
-            grid: ProcGrid::new(Machine::custom("t", 4, 1, 1, 2)),
-        };
-        let opts = SimOptions {
-            jitter: 0.05,
-            seed: 42,
-        };
-        let p = Perturb {
-            rank_slowdown: vec![1.0, 4.0],
-            link_multiplier: vec![(0, 2, 3.0)],
-        };
-        let seq = simulate_perturbed(&src, &src.grid, &m, &opts, &p).unwrap();
-        for workers in [2usize, 4] {
-            let sh = simulate_sharded_perturbed(
-                &src,
-                &src.grid,
-                &m,
-                &opts,
-                &p,
-                &ShardOptions::with_workers(workers),
-            )
-            .unwrap();
-            identical(&seq, &sh);
-        }
-    }
-
-    #[test]
-    fn sharded_stats_report_no_violations() {
-        let m = crate::models::dane();
-        let src = FullExchange {
-            s: 1024,
-            grid: ProcGrid::new(Machine::custom("t", 4, 1, 1, 2)),
-        };
-        let (rep, stats) = simulate_sharded_stats(
-            &src,
-            &src.grid,
-            &m,
-            &SimOptions::default(),
-            &Perturb::default(),
-            &ShardOptions::with_workers(4),
-        )
-        .unwrap();
-        assert!(rep.total_us > 0.0);
-        assert_eq!(stats.shards, 4);
-        assert_eq!(stats.causality_violations, 0);
-        assert!(stats.events > 0);
-        assert!(stats.cross_events > 0, "no cross-shard traffic observed");
-    }
-
-    #[test]
-    fn zero_lookahead_falls_back_to_single_shard() {
-        // A zero link multiplier kills the safe horizon; the engine must
-        // fall back to one shard rather than misorder events.
-        let m = crate::models::dane();
-        let src = FullExchange {
-            s: 256,
-            grid: ProcGrid::new(Machine::custom("t", 2, 1, 1, 2)),
-        };
-        let p = Perturb {
-            rank_slowdown: vec![],
-            link_multiplier: vec![(0, 1, 0.0)],
-        };
-        let opts = SimOptions::default();
-        let (rep, stats) = simulate_sharded_stats(
-            &src,
-            &src.grid,
-            &m,
-            &opts,
-            &p,
-            &ShardOptions::with_workers(2),
-        )
-        .unwrap();
-        assert_eq!(stats.shards, 1);
-        let seq = simulate_perturbed(&src, &src.grid, &m, &opts, &p).unwrap();
-        identical(&seq, &rep);
-    }
-
-    #[test]
-    fn workers_capped_at_node_count() {
-        let m = crate::models::dane();
-        let src = FullExchange {
-            s: 128,
-            grid: ProcGrid::new(Machine::custom("t", 2, 1, 1, 2)),
-        };
-        let (_, stats) = simulate_sharded_stats(
-            &src,
-            &src.grid,
-            &m,
-            &SimOptions::default(),
-            &Perturb::default(),
-            &ShardOptions::with_workers(16),
-        )
-        .unwrap();
-        assert_eq!(stats.shards, 2);
-    }
-
-    #[test]
-    fn tight_lookahead_is_safe_and_identical() {
-        let m = crate::models::dane();
-        let src = FullExchange {
-            s: 4096,
-            grid: ProcGrid::new(Machine::custom("t", 4, 1, 1, 2)),
-        };
-        let opts = SimOptions::default();
-        let seq = simulate(&src, &src.grid, &m, &opts).unwrap();
-        let (rep, stats) = simulate_sharded_stats(
-            &src,
-            &src.grid,
-            &m,
-            &opts,
-            &Perturb::default(),
-            &ShardOptions {
-                workers: 4,
-                lookahead_scale: 0.05,
-            },
-        )
-        .unwrap();
-        assert_eq!(stats.causality_violations, 0);
-        identical(&seq, &rep);
     }
 }

@@ -17,14 +17,10 @@
 //!
 //! The engine is an event simulation: the runnable rank with the smallest
 //! event key executes its next operation; ranks park at `WaitAll` and wake
-//! when requests complete. [`simulate`] runs it sequentially;
-//! [`simulate_sharded`] partitions the nodes into shards and runs one
-//! worker thread per shard behind a conservative lookahead horizon derived
-//! from the minimum inter-node LogGP latency — **byte-identical** output
-//! for any worker count, so the full paper-scale sweeps run at multi-core
-//! speed. Everything is deterministic for a fixed seed; the optional
-//! jitter models system noise so "minimum of 3 runs" (the paper's
-//! measurement rule) is meaningful.
+//! when requests complete. [`simulate`] runs it on one thread over every
+//! node. Everything is deterministic for a fixed seed; the optional jitter
+//! models system noise so "minimum of 3 runs" (the paper's measurement
+//! rule) is meaningful.
 //!
 //! # Example
 //!
@@ -42,7 +38,6 @@
 
 pub mod analytic;
 pub mod engine;
-mod horizon;
 pub mod model;
 pub mod models;
 pub mod report;
@@ -50,8 +45,8 @@ mod shard;
 
 pub use analytic::crit_params;
 pub use engine::{
-    simulate, simulate_perturbed, simulate_sharded, simulate_sharded_perturbed,
-    simulate_sharded_stats, Perturb, ShardOptions, ShardStats, SimError, SimOptions,
+    simulate, simulate_perturbed, simulate_sharded_stats, Perturb, ShardOptions, ShardStats,
+    SimError, SimOptions,
 };
 pub use model::{CostModel, LevelCost};
 pub use report::SimReport;
@@ -74,32 +69,6 @@ pub fn simulate_min_of(
             seed: base_seed.wrapping_add(i as u64),
         };
         let rep = simulate(source, grid, model, &opts)?;
-        best = match best {
-            Some(b) if b.total_us <= rep.total_us => Some(b),
-            _ => Some(rep),
-        };
-    }
-    Ok(best.expect("runs > 0"))
-}
-
-/// [`simulate_min_of`] on the sharded parallel engine. Byte-identical to
-/// the sequential variant for any worker count.
-pub fn simulate_min_of_sharded(
-    source: &(dyn a2a_sched::ScheduleSource + Sync),
-    grid: &a2a_topo::ProcGrid,
-    model: &CostModel,
-    runs: usize,
-    base_seed: u64,
-    sopts: &ShardOptions,
-) -> Result<SimReport, SimError> {
-    assert!(runs > 0);
-    let mut best: Option<SimReport> = None;
-    for i in 0..runs {
-        let opts = SimOptions {
-            jitter: if runs == 1 { 0.0 } else { 0.05 },
-            seed: base_seed.wrapping_add(i as u64),
-        };
-        let rep = simulate_sharded(source, grid, model, &opts, sopts)?;
         best = match best {
             Some(b) if b.total_us <= rep.total_us => Some(b),
             _ => Some(rep),

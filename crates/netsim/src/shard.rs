@@ -1,26 +1,20 @@
-//! The event-driven simulation core, shared by the sequential and sharded
-//! engines.
+//! The event-driven simulation core.
 //!
-//! A [`Shard`] owns a contiguous range of nodes: their ranks' state, their
-//! NIC injection/ejection timelines, and their intra-node buses. All
-//! intra-node interactions touch only state owned by one shard and are
-//! executed directly. Every **inter-node** interaction is an explicit
-//! timestamped link event addressed to the destination node, so a message
-//! between nodes owned by different shards simply crosses a shard boundary
-//! as an [`Event`].
+//! A [`Shard`] holds the whole simulated machine: every rank's state,
+//! every node's NIC injection/ejection timelines, and every intra-node
+//! bus. Intra-node interactions are executed directly; every
+//! **inter-node** interaction is an explicit timestamped link event
+//! addressed to the destination node.
 //!
 //! # Determinism discipline
 //!
 //! Events are processed in the total order `(time, class, actor, seq)`.
 //! Link events (class 0) sort before rank steps (class 1) at equal time;
 //! `actor` is the emitting node for link events and the rank for steps;
-//! `seq` is a per-node monotonic emission counter. Every component is a
-//! pure function of the emitting node's own event history, so the key
-//! order — and therefore the entire simulation — is byte-identical for
-//! *any* partition of nodes into shards, including the trivial one-shard
-//! (sequential) partition. The sharded engine's byte-identity oracle in
-//! `tests/sharded_netsim.rs` enforces this, and `tests/netsim_golden.rs`
-//! pins the values themselves.
+//! `seq` is a per-node monotonic emission counter. The order is a pure
+//! function of the schedule, the model and the seed, so every run of one
+//! configuration is byte-identical; `tests/netsim_golden.rs` pins the
+//! values themselves.
 //!
 //! # Data layout
 //!
@@ -68,8 +62,7 @@
 //!   ([`Payload::Cts`]) carries one latency back once the receive is
 //!   posted; only then does the payload ([`Payload::Data`]) occupy the
 //!   NICs and the wire. Every leg pays at least the inter-node LogGP
-//!   `alpha` (scaled by any per-link degradation), which is exactly the
-//!   lookahead floor the conservative scheduler in `horizon.rs` relies on.
+//!   `alpha`, scaled by any per-link degradation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -79,15 +72,6 @@ use a2a_topo::{Level, ProcGrid, Rank};
 
 use crate::engine::Perturb;
 use crate::model::CostModel;
-
-/// Link events (message legs) sort before rank steps at equal time.
-const CLASS_MSG: u8 = 0;
-const CLASS_STEP: u8 = 1;
-
-/// The total order's key `(time, class, actor, seq)`, with the time mapped
-/// through [`time_key`]. Only the causality monitor materializes it; the
-/// heaps order on the parts that can differ within a class.
-type EvKey = (u64, u8, u32, u64);
 
 /// Map a time to a `u64` whose unsigned order is `f64::total_cmp`'s.
 #[inline]
@@ -109,7 +93,7 @@ struct StepEntry {
     rank: Rank,
 }
 
-/// A link event waiting in this shard's heap; its payload is
+/// A link event waiting in the message heap; its payload is
 /// `payloads[slot]`. `(node, seq)` is unique, so `slot` never decides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct MsgEntry {
@@ -126,7 +110,7 @@ const _: () = assert!(std::mem::size_of::<MsgEntry>() == 24);
 
 /// What a link event carries.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Payload {
+enum Payload {
     /// Eager payload has finished its wire flight; eject at `to`'s NIC.
     Eager {
         from: Rank,
@@ -157,29 +141,6 @@ pub(crate) enum Payload {
         len: u64,
         recv_req: u32,
     },
-}
-
-/// A link event in the form it crosses a shard boundary in.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Event {
-    pub time: f64,
-    /// Emitting node.
-    pub node: u32,
-    /// Emitting node's monotonic emission counter.
-    pub seq: u64,
-    pub payload: Payload,
-}
-
-impl Event {
-    /// The rank whose node must process this event.
-    pub fn dest_rank(&self) -> Rank {
-        match self.payload {
-            Payload::Eager { to, .. }
-            | Payload::Rts { to, .. }
-            | Payload::Cts { to, .. }
-            | Payload::Data { to, .. } => to,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -466,8 +427,8 @@ impl RankSim {
     }
 }
 
-/// Per-node shared resources, owned by exactly one shard. The node's NUMA
-/// and socket buses live in the shard's flat `numa_bus` / `socket_bus`.
+/// Per-node shared resources. The node's NUMA and socket buses live in the
+/// flat `numa_bus` / `socket_bus`.
 struct NodeRes {
     nic_tx: f64,
     nic_rx: f64,
@@ -479,7 +440,7 @@ struct NodeRes {
 
 /// Where a rank sits, as indices that are unique machine-wide: comparing
 /// two ranks' fields gives their locality level, and `socket` / `domain`
-/// index the owning shard's bus arrays (offset by the shard's first).
+/// index the bus arrays.
 #[derive(Debug, Clone, Copy)]
 struct Place {
     node: u32,
@@ -487,13 +448,12 @@ struct Place {
     domain: u32,
 }
 
-/// Read-only simulation context shared by all shards: the cost model plus
-/// the machine shape and perturbations resolved into tables.
+/// Read-only simulation context: the cost model plus the machine shape and
+/// perturbations resolved into tables.
 pub(crate) struct Ctx<'a> {
     pub model: &'a CostModel,
     pub jitter: f64,
     pub nphases: usize,
-    ppn: usize,
     nodes: usize,
     sockets_per_node: usize,
     domains_per_node: usize,
@@ -548,7 +508,6 @@ impl<'a> Ctx<'a> {
             model,
             jitter,
             nphases,
-            ppn: m.ppn(),
             nodes: m.nodes,
             sockets_per_node,
             domains_per_node,
@@ -558,12 +517,8 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     #[inline]
-    pub fn node_of(&self, rank: Rank) -> usize {
+    fn node_of(&self, rank: Rank) -> usize {
         self.place[rank as usize].node as usize
     }
 
@@ -595,17 +550,12 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// One shard: a contiguous node range, its ranks, and its event queues.
+/// The simulated machine: every rank, every node, and the event queues.
 pub(crate) struct Shard<'a> {
-    pub ctx: &'a Ctx<'a>,
-    pub id: usize,
-    node_lo: usize,
-    node_hi: usize,
-    /// First world rank owned (`node_lo * ppn`).
-    rank_lo: usize,
+    ctx: &'a Ctx<'a>,
     pub ranks: Vec<RankSim>,
     nodes: Vec<NodeRes>,
-    /// Busy-until per NUMA domain / per socket of the owned nodes.
+    /// Busy-until per NUMA domain / per socket.
     numa_bus: Vec<f64>,
     socket_bus: Vec<f64>,
     steps: BinaryHeap<Reverse<StepEntry>>,
@@ -615,32 +565,17 @@ pub(crate) struct Shard<'a> {
     free_payloads: Vec<u32>,
     pub msgs_per_level: [usize; 4],
     pub bytes_per_level: [u64; 4],
-    /// Key of the most recently processed event (causality monitor).
-    last_key: Option<EvKey>,
-    /// Events processed by this shard.
+    /// Events processed.
     pub events: u64,
-    /// Cross-shard arrivals that sorted before an already-processed event
-    /// — always zero when the lookahead horizon is sound.
-    pub violations: u64,
 }
 
 impl<'a> Shard<'a> {
-    /// Build the shard for nodes `[node_lo, node_hi)`, lowering its ranks'
-    /// programs and seeding their step events at t=0.
-    pub fn build(
-        ctx: &'a Ctx<'a>,
-        id: usize,
-        node_lo: usize,
-        node_hi: usize,
-        source: &dyn a2a_sched::ScheduleSource,
-        seed: u64,
-    ) -> Self {
-        let rank_lo = node_lo * ctx.ppn;
-        let rank_hi = node_hi * ctx.ppn;
-        let owned = node_hi - node_lo;
+    /// Build the machine, lowering every rank's program and seeding its
+    /// step event at t=0.
+    pub fn build(ctx: &'a Ctx<'a>, source: &dyn a2a_sched::ScheduleSource, seed: u64) -> Self {
         // One rank at a time: the 64-byte source ops of a rank are gone
         // before the next rank's are built.
-        let ranks: Vec<RankSim> = (rank_lo..rank_hi)
+        let ranks: Vec<RankSim> = (0..ctx.place.len())
             .map(|r| {
                 let prog = source.rank_program(r as Rank);
                 RankSim::new(&prog, ctx.nphases, r as Rank, seed)
@@ -648,11 +583,7 @@ impl<'a> Shard<'a> {
             .collect();
         let mut shard = Shard {
             ctx,
-            id,
-            node_lo,
-            node_hi,
-            rank_lo,
-            nodes: (0..owned)
+            nodes: (0..ctx.nodes)
                 .map(|_| NodeRes {
                     nic_tx: 0.0,
                     nic_rx: 0.0,
@@ -660,8 +591,8 @@ impl<'a> Shard<'a> {
                     emit_seq: 0,
                 })
                 .collect(),
-            numa_bus: vec![0.0; owned * ctx.domains_per_node],
-            socket_bus: vec![0.0; owned * ctx.sockets_per_node],
+            numa_bus: vec![0.0; ctx.nodes * ctx.domains_per_node],
+            socket_bus: vec![0.0; ctx.nodes * ctx.sockets_per_node],
             steps: BinaryHeap::with_capacity(ranks.len()),
             msgs: BinaryHeap::new(),
             payloads: Vec::new(),
@@ -669,43 +600,14 @@ impl<'a> Shard<'a> {
             ranks,
             msgs_per_level: [0; 4],
             bytes_per_level: [0; 4],
-            last_key: None,
             events: 0,
-            violations: 0,
         };
         for i in 0..shard.ranks.len() {
             if !shard.ranks[i].ops.is_empty() {
-                shard.push_step((rank_lo + i) as Rank, 0.0);
+                shard.push_step(i as Rank, 0.0);
             }
         }
         shard
-    }
-
-    /// Events waiting in this shard's queues.
-    pub fn queued(&self) -> usize {
-        self.steps.len() + self.msgs.len()
-    }
-
-    /// Time of the earliest queued event (infinite when there is none).
-    pub fn next_time(&self) -> f64 {
-        let step = self
-            .steps
-            .peek()
-            .map_or(f64::INFINITY, |Reverse(s)| key_time(s.time));
-        let msg = self
-            .msgs
-            .peek()
-            .map_or(f64::INFINITY, |Reverse(m)| key_time(m.time));
-        step.min(msg)
-    }
-
-    fn owns_node(&self, node: usize) -> bool {
-        node >= self.node_lo && node < self.node_hi
-    }
-
-    #[inline]
-    fn ri(&self, rank: Rank) -> usize {
-        rank as usize - self.rank_lo
     }
 
     fn push_step(&mut self, rank: Rank, time: f64) {
@@ -715,56 +617,32 @@ impl<'a> Shard<'a> {
         }));
     }
 
-    fn push_msg(&mut self, ev: Event) {
+    /// Emit a link event from `from_node` at `time`.
+    fn emit_msg(&mut self, from_node: usize, time: f64, payload: Payload) {
+        let nr = &mut self.nodes[from_node];
+        let seq = nr.emit_seq;
+        nr.emit_seq += 1;
         let slot = match self.free_payloads.pop() {
             Some(slot) => {
-                self.payloads[slot as usize] = ev.payload;
+                self.payloads[slot as usize] = payload;
                 slot
             }
             None => {
-                self.payloads.push(ev.payload);
+                self.payloads.push(payload);
                 (self.payloads.len() - 1) as u32
             }
         };
         self.msgs.push(Reverse(MsgEntry {
-            time: time_key(ev.time),
-            node: ev.node,
-            seq: ev.seq,
+            time: time_key(time),
+            node: from_node as u32,
+            seq,
             slot,
         }));
     }
 
-    /// Queue a link event that another shard emitted for a node owned here.
-    pub fn accept(&mut self, ev: Event) {
-        let key = (time_key(ev.time), CLASS_MSG, ev.node, ev.seq);
-        if self.last_key.is_some_and(|last| key < last) {
-            self.violations += 1;
-        }
-        self.push_msg(ev);
-    }
-
-    /// Emit a link event from `from_node` at `time`; local destinations go
-    /// straight onto the heap, cross-shard ones into `out`.
-    fn emit_msg(&mut self, from_node: usize, time: f64, payload: Payload, out: &mut Vec<Event>) {
-        let nr = &mut self.nodes[from_node - self.node_lo];
-        let ev = Event {
-            time,
-            node: from_node as u32,
-            seq: nr.emit_seq,
-            payload,
-        };
-        nr.emit_seq += 1;
-        if self.owns_node(self.ctx.node_of(ev.dest_rank())) {
-            self.push_msg(ev);
-        } else {
-            out.push(ev);
-        }
-    }
-
-    /// Process, in key order, every event strictly before `horizon`
-    /// (`f64::INFINITY`: until the queues drain). Cross-shard emissions
-    /// are appended to `out`. Returns the number of events processed.
-    pub fn run_until(&mut self, horizon: f64, out: &mut Vec<Event>) -> u64 {
+    /// Process every queued event in key order until the queues drain.
+    /// Returns the number of events processed.
+    pub fn run_until(&mut self) -> u64 {
         let before = self.events;
         loop {
             let msg = self.msgs.peek().map(|r| r.0);
@@ -772,25 +650,16 @@ impl<'a> Shard<'a> {
             match (msg, step) {
                 // Equal times: the link event's class sorts first.
                 (Some(m), s) if s.is_none_or(|s| m.time <= s.time) => {
-                    let time = key_time(m.time);
-                    if time >= horizon {
-                        break;
-                    }
                     self.msgs.pop();
                     let payload = self.payloads[m.slot as usize];
                     self.free_payloads.push(m.slot);
-                    self.last_key = Some((m.time, CLASS_MSG, m.node, m.seq));
                     self.events += 1;
-                    self.handle_msg(time, payload, out);
+                    self.handle_msg(key_time(m.time), payload);
                 }
                 (_, Some(s)) => {
-                    if key_time(s.time) >= horizon {
-                        break;
-                    }
                     self.steps.pop();
-                    self.last_key = Some((s.time, CLASS_STEP, s.rank, 0));
                     self.events += 1;
-                    self.step(s.rank, out);
+                    self.step(s.rank);
                 }
                 (_, None) => break,
             }
@@ -805,7 +674,7 @@ impl<'a> Shard<'a> {
         if self.ctx.jitter == 0.0 {
             return slow;
         }
-        let st = &mut self.ranks[rank as usize - self.rank_lo];
+        let st = &mut self.ranks[rank as usize];
         let mut x = st.rng;
         x ^= x >> 12;
         x ^= x << 25;
@@ -833,15 +702,15 @@ impl<'a> Shard<'a> {
         let at = ctx.place[from as usize];
         let (bus, rate) = match level {
             Level::IntraNuma => (
-                &mut self.numa_bus[at.domain as usize - self.node_lo * ctx.domains_per_node],
+                &mut self.numa_bus[at.domain as usize],
                 ctx.model.mem_per_byte,
             ),
             Level::IntraSocket => (
-                &mut self.socket_bus[at.socket as usize - self.node_lo * ctx.sockets_per_node],
+                &mut self.socket_bus[at.socket as usize],
                 ctx.model.mem_per_byte,
             ),
             _ => (
-                &mut self.nodes[at.node as usize - self.node_lo].upi_bus,
+                &mut self.nodes[at.node as usize].upi_bus,
                 ctx.model.upi_per_byte,
             ),
         };
@@ -853,8 +722,7 @@ impl<'a> Shard<'a> {
     /// Record request `req` of `rank` completing at `time`; wake the rank
     /// if that was the last pending request of its parked wait.
     fn complete_req(&mut self, rank: Rank, req: u32, time: f64) {
-        let ridx = self.ri(rank);
-        let st = &mut self.ranks[ridx];
+        let st = &mut self.ranks[rank as usize];
         debug_assert!(
             st.req_time[req as usize].is_nan(),
             "request completed twice"
@@ -882,8 +750,7 @@ impl<'a> Shard<'a> {
     /// Deliver an (eager) message arriving at `to`: match a posted receive
     /// or enqueue as unexpected.
     fn deliver(&mut self, from: Rank, to: Rank, tag: u32, len: u64, arrival: f64) {
-        let tidx = self.ri(to);
-        let st = &mut self.ranks[tidx];
+        let st = &mut self.ranks[to as usize];
         match st.take_posted(from, tag) {
             Some(pr) => {
                 debug_assert_eq!(pr.len, len, "message/receive length mismatch");
@@ -908,7 +775,7 @@ impl<'a> Shard<'a> {
         let sn = self.ctx.node_of(from);
         let dn = self.ctx.node_of(to);
         let occ = self.ctx.model.nic_occupancy(len) * self.ctx.link(sn, dn);
-        let nr = &mut self.nodes[dn - self.node_lo];
+        let nr = &mut self.nodes[dn];
         let rx_end = arrival.max(nr.nic_rx) + occ;
         nr.nic_rx = rx_end;
         rx_end
@@ -920,7 +787,7 @@ impl<'a> Shard<'a> {
     fn inject(&mut self, sn: usize, dn: usize, len: u64, ready: f64) -> (f64, f64) {
         let lm = self.ctx.link(sn, dn);
         let occ = self.ctx.model.nic_occupancy(len) * lm;
-        let nr = &mut self.nodes[sn - self.node_lo];
+        let nr = &mut self.nodes[sn];
         let tx_end = ready.max(nr.nic_tx) + occ;
         nr.nic_tx = tx_end;
         self.msgs_per_level[3] += 1;
@@ -930,7 +797,7 @@ impl<'a> Shard<'a> {
     }
 
     /// Process one link event arriving at `time`.
-    fn handle_msg(&mut self, time: f64, payload: Payload, out: &mut Vec<Event>) {
+    fn handle_msg(&mut self, time: f64, payload: Payload) {
         match payload {
             Payload::Eager { from, to, tag, len } => {
                 // Payload reached the destination NIC: eject in arrival
@@ -947,10 +814,9 @@ impl<'a> Shard<'a> {
             } => {
                 // Request-to-send at the receiver: grant immediately if the
                 // receive is already posted, otherwise wait for it.
-                let tidx = self.ri(to);
-                let st = &mut self.ranks[tidx];
+                let st = &mut self.ranks[to as usize];
                 match st.take_posted(from, tag) {
-                    Some(pr) => self.send_cts(to, from, len, send_req, pr.req, time, out),
+                    Some(pr) => self.send_cts(to, from, len, send_req, pr.req, time),
                     None => st.enqueue(Slot {
                         peer: from,
                         tag,
@@ -983,7 +849,6 @@ impl<'a> Shard<'a> {
                         len,
                         recv_req,
                     },
-                    out,
                 );
             }
             Payload::Data {
@@ -1000,17 +865,7 @@ impl<'a> Shard<'a> {
 
     /// Emit the clear-to-send grant from receiver `recv` back to sender
     /// `send`, one reverse-link latency after `t`.
-    #[allow(clippy::too_many_arguments)]
-    fn send_cts(
-        &mut self,
-        recv: Rank,
-        send: Rank,
-        len: u64,
-        send_req: u32,
-        recv_req: u32,
-        t: f64,
-        out: &mut Vec<Event>,
-    ) {
+    fn send_cts(&mut self, recv: Rank, send: Rank, len: u64, send_req: u32, recv_req: u32, t: f64) {
         let dn = self.ctx.node_of(recv);
         let sn = self.ctx.node_of(send);
         let alpha = self.ctx.model.level(Level::InterNode).alpha;
@@ -1025,22 +880,11 @@ impl<'a> Shard<'a> {
                 send_req,
                 recv_req,
             },
-            out,
         );
     }
 
     /// Inter-node send: eager injects now; rendezvous opens the handshake.
-    #[allow(clippy::too_many_arguments)]
-    fn isend_internode(
-        &mut self,
-        rank: Rank,
-        to: Rank,
-        tag: u32,
-        len: u64,
-        req: u32,
-        ready: f64,
-        out: &mut Vec<Event>,
-    ) {
+    fn isend_internode(&mut self, rank: Rank, to: Rank, tag: u32, len: u64, req: u32, ready: f64) {
         let sn = self.ctx.node_of(rank);
         let dn = self.ctx.node_of(to);
         if self.ctx.model.is_rendezvous(len, Level::InterNode) {
@@ -1056,7 +900,6 @@ impl<'a> Shard<'a> {
                     len,
                     send_req: req,
                 },
-                out,
             );
         } else {
             // Eager: the library buffers the payload, so the send request
@@ -1073,14 +916,13 @@ impl<'a> Shard<'a> {
                     tag,
                     len,
                 },
-                out,
             );
         }
     }
 
     /// Advance `rank` by one op, then reschedule it if still runnable.
-    fn step(&mut self, rank: Rank, out: &mut Vec<Event>) {
-        let ridx = self.ri(rank);
+    fn step(&mut self, rank: Rank) {
+        let ridx = rank as usize;
         let (op, old_clock) = {
             let st = &self.ranks[ridx];
             (st.ops[st.pc], st.clock)
@@ -1102,12 +944,11 @@ impl<'a> Shard<'a> {
                 let ready = st.clock;
                 let level = self.ctx.level(rank, to);
                 if level == Level::InterNode {
-                    self.isend_internode(rank, to, tag, len, req, ready, out);
+                    self.isend_internode(rank, to, tag, len, req, ready);
                 } else if model.is_rendezvous(len, level) {
                     // Intra-node rendezvous: the receiver lives on the same
-                    // node (same shard), so peek its posted queue directly.
-                    let tidx = self.ri(to);
-                    let peer = &mut self.ranks[tidx];
+                    // node, so peek its posted queue directly.
+                    let peer = &mut self.ranks[to as usize];
                     match peer.take_posted(rank, tag) {
                         Some(pr) => {
                             let t0 = ready.max(pr.time + model.level(level).alpha);
@@ -1151,7 +992,7 @@ impl<'a> Shard<'a> {
                         let level = self.ctx.level(from, rank);
                         if level == Level::InterNode {
                             // The RTS is waiting: grant it now.
-                            self.send_cts(rank, from, len, rs.req, req, post_time, out);
+                            self.send_cts(rank, from, len, rs.req, req, post_time);
                         } else {
                             let t0 = rs.time.max(post_time + model.level(level).alpha);
                             let arrival = self.transport_intra(from, level, len, t0);
@@ -1217,22 +1058,37 @@ mod tests {
         }
     }
 
+    impl Shard<'_> {
+        /// Events waiting in the queues.
+        fn queued(&self) -> usize {
+            self.steps.len() + self.msgs.len()
+        }
+
+        /// Time of the earliest queued event (infinite when there is none).
+        fn next_time(&self) -> f64 {
+            let step = self.steps.peek().map(|Reverse(s)| s.time);
+            let msg = self.msgs.peek().map(|Reverse(m)| m.time);
+            step.into_iter()
+                .chain(msg)
+                .min()
+                .map_or(f64::INFINITY, key_time)
+        }
+    }
+
     fn program(build: impl FnOnce(&mut ProgBuilder)) -> RankProgram {
         let mut b = ProgBuilder::new(Phase(0));
         build(&mut b);
         b.finish()
     }
 
-    /// Run `check` on a one-shard simulation of `progs`, one rank per core
-    /// of `nodes` single-NUMA nodes, after draining its event queues.
+    /// Run `check` on a simulation of `progs`, one rank per core of `nodes`
+    /// single-NUMA nodes, after draining its event queues.
     fn drained(nodes: usize, progs: Vec<RankProgram>, check: impl FnOnce(&mut Shard)) {
         let grid = ProcGrid::new(Machine::custom("t", nodes, 1, 1, progs.len() / nodes));
         let model = crate::models::dane();
         let ctx = Ctx::new(&grid, &model, &Perturb::default(), 0.0, 1);
-        let mut shard = Shard::build(&ctx, 0, 0, nodes, &Progs(progs), 0);
-        let mut out = Vec::new();
-        shard.run_until(f64::INFINITY, &mut out);
-        assert!(out.is_empty());
+        let mut shard = Shard::build(&ctx, &Progs(progs), 0);
+        shard.run_until();
         check(&mut shard);
     }
 
@@ -1305,8 +1161,7 @@ mod tests {
             assert_eq!(shard.queued(), 1);
             // The latest completion, not the last one to arrive.
             assert_eq!(shard.ranks[0].clock, 8.0);
-            let mut out = Vec::new();
-            assert_eq!(shard.run_until(f64::INFINITY, &mut out), 1);
+            assert_eq!(shard.run_until(), 1);
             assert!(shard.ranks[0].done());
         });
     }

@@ -28,12 +28,10 @@
 //! ```
 
 mod comm;
-mod links;
 mod machine;
 pub mod presets;
 
 pub use comm::CommView;
-pub use links::LinkTable;
 pub use machine::{Level, Location, Machine, MapOrder, ProcGrid};
 pub use presets::{amber, dane, scaled_many_core, tuolumne};
 

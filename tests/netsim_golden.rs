@@ -1,11 +1,11 @@
 //! Golden values for the discrete-event simulator.
 //!
-//! `tests/sharded_netsim.rs` compares the sequential and sharded drivers
-//! with each other, but both run the same event core, so a change to that
-//! core that shifts a simulated time moves both sides together. This file
-//! pins the *values*: every row below was recorded from the engine as it
-//! stood before its data layout was rebuilt, and a layout change must
-//! reproduce each bit.
+//! Every row below was recorded from the engine as it stood before its
+//! data layout was rebuilt, and any later change to the event core must
+//! reproduce each bit. Each cell also runs through the benchmark's
+//! statistics entry point with both option values the benchmark passes,
+//! which must agree with `simulate_perturbed` and report no cross-shard
+//! traffic.
 //!
 //! On mismatch the failure prints the row the engine produced in the
 //! table's own syntax, so an intended model change is re-recorded by
@@ -91,16 +91,21 @@ fn observe(case: &'static str, algo: usize, bytes: u64) -> Golden {
     let what = format!("{case}/{}/{bytes}", algos[algo].name());
     let rep = simulate_perturbed(&sched, &grid, &model, &opts, &perturb)
         .unwrap_or_else(|e| panic!("{what}: {e}"));
-    let (counted, stats) = simulate_sharded_stats(
-        &sched,
-        &grid,
-        &model,
-        &opts,
-        &perturb,
-        &ShardOptions::with_workers(1),
-    )
-    .unwrap_or_else(|e| panic!("{what}: {e}"));
-    assert_eq!(rep, counted, "{what}: the two entry points disagree");
+    let [events, events_w2] = [1, 2].map(|workers| {
+        let (counted, stats) = simulate_sharded_stats(
+            &sched,
+            &grid,
+            &model,
+            &opts,
+            &perturb,
+            &ShardOptions::with_workers(workers),
+        )
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(rep, counted, "{what} x{workers}: the entry points disagree");
+        assert_eq!((stats.cross_events, stats.causality_violations), (0, 0));
+        stats.events
+    });
+    assert_eq!(events, events_w2, "{what}: event counts disagree");
     Golden {
         case,
         algo,
@@ -114,7 +119,7 @@ fn observe(case: &'static str, algo: usize, bytes: u64) -> Golden {
         ),
         msgs_per_level: rep.msgs_per_level,
         bytes_per_level: rep.bytes_per_level,
-        events: stats.events,
+        events,
     }
 }
 
