@@ -1,31 +1,19 @@
-//! The per-rank communicator handle and the schedule interpreter.
+//! The per-rank communicator handle.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use a2a_core::{A2AContext, AlltoallAlgorithm};
-use a2a_sched::{Block, Op};
+use a2a_sched::RankProgram;
 use a2a_topo::ProcGrid;
 
 use crate::error::RuntimeError;
-use crate::fabric::{Fabric, RecvWant};
+use crate::fabric::Fabric;
+use crate::parallel::{drive, RankCtx};
 
-/// Two distinct mutable elements of `v`. Used for cross-buffer copies
-/// without an intermediate allocation.
-pub(crate) fn split_two<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
-
-/// One rank's view of the world: MPI-shaped point-to-point plus the
-/// all-to-all schedule interpreter. Every blocking primitive returns
+/// One rank's view of the world: MPI-shaped point-to-point plus
+/// schedule-driven collectives. Every blocking primitive returns
 /// `Result<_, RuntimeError>`; the first error any rank hits is broadcast
 /// so the whole collective fails together instead of hanging.
 pub struct ThreadComm {
@@ -118,9 +106,7 @@ impl ThreadComm {
         let ctx = A2AContext::new(grid.clone(), block_bytes);
         let sizes = algo.buffers(&ctx, self.rank);
         let prog = algo.build_rank(&ctx, self.rank);
-        let out = self.run_program(&sizes, &prog, sbuf)?;
-        rbuf.copy_from_slice(&out);
-        Ok(())
+        self.drive_own_rank(&sizes, prog, sbuf, rbuf)
     }
 
     /// Execute an allgather: `contribution` is this rank's `block_bytes`
@@ -145,9 +131,7 @@ impl ThreadComm {
         let ctx = A2AContext::new(grid.clone(), block_bytes);
         let sizes = algo.buffers(&ctx, self.rank);
         let prog = algo.build_rank(&ctx, self.rank);
-        let out = self.run_program(&sizes, &prog, contribution)?;
-        rbuf.copy_from_slice(&out);
-        Ok(())
+        self.drive_own_rank(&sizes, prog, contribution, rbuf)
     }
 
     /// Execute a broadcast: on the root, `payload` must be `Some(bytes)`
@@ -175,100 +159,30 @@ impl ThreadComm {
         } else {
             &[]
         };
-        let out = self.run_program(&sizes, &prog, sbuf)?;
-        rbuf.copy_from_slice(&out);
-        Ok(())
+        self.drive_own_rank(&sizes, prog, sbuf, rbuf)
     }
 
-    /// Interpret one rank's compiled program with real buffers: `sbuf_init`
-    /// seeds buffer 0; buffer 1 (`RBUF`) is returned. The op index of each
-    /// blocking receive is threaded into the fabric so watchdog dumps can
-    /// name the exact schedule position a rank is stuck at.
-    fn run_program(
+    /// Run this rank's compiled program through the runtime's one
+    /// schedule driver (the same loop `ParallelExecutor` workers run),
+    /// over a one-rank slice: `sbuf_init` seeds buffer 0 and buffer 1
+    /// (`RBUF`) ends up in `rbuf`.
+    fn drive_own_rank(
         &self,
         sizes: &[u64],
-        prog: &a2a_sched::RankProgram,
+        prog: RankProgram,
         sbuf_init: &[u8],
-    ) -> Result<Vec<u8>, RuntimeError> {
-        let mut bufs: Vec<Vec<u8>> = sizes.iter().map(|&s| vec![0u8; s as usize]).collect();
+        rbuf: &mut [u8],
+    ) -> Result<(), RuntimeError> {
+        let mut ctx = RankCtx::new(self.rank, Cow::Owned(prog), sizes);
         assert!(
-            bufs[0].len() >= sbuf_init.len(),
+            ctx.bufs[0].len() >= sbuf_init.len(),
             "rank {}: send buffer smaller than init data",
             self.rank
         );
-        bufs[0][..sbuf_init.len()].copy_from_slice(sbuf_init);
-
-        // Pending receive requests: req id -> (from, tag, destination).
-        let mut pending: HashMap<u32, (u32, u32, Block)> = HashMap::new();
-        let mut wants: Vec<RecvWant> = Vec::new();
-        let mut blocks: Vec<Block> = Vec::new();
-        for (op_index, top) in prog.ops.iter().enumerate() {
-            match top.op {
-                Op::Isend { to, block, tag, .. } => {
-                    // The fabric copies straight out of the live buffer
-                    // into a pooled payload: one copy, no temporary.
-                    self.fabric.send(
-                        self.rank,
-                        to,
-                        tag,
-                        &bufs[block.buf.0 as usize][block.off as usize..block.end() as usize],
-                    )?;
-                }
-                Op::Irecv {
-                    from,
-                    block,
-                    tag,
-                    req,
-                } => {
-                    pending.insert(req, (from, tag, block));
-                }
-                Op::WaitAll { first_req, count } => {
-                    // Sends complete eagerly; receives are drained as one
-                    // batch (matched in posting order per channel, since
-                    // request ids are allocated in program order) so the
-                    // whole WaitAll shares a single park/wake cycle.
-                    wants.clear();
-                    blocks.clear();
-                    for req in first_req..first_req + count {
-                        if let Some((from, tag, block)) = pending.remove(&req) {
-                            wants.push(RecvWant {
-                                from,
-                                tag,
-                                op_index: Some(op_index),
-                                len: Some(block.len as usize),
-                            });
-                            blocks.push(block);
-                        }
-                    }
-                    if !wants.is_empty() {
-                        let bufs = &mut bufs;
-                        let blocks = &blocks;
-                        self.fabric.recv_many(self.rank, &wants, |i, payload| {
-                            let b = blocks[i];
-                            bufs[b.buf.0 as usize][b.off as usize..b.end() as usize]
-                                .copy_from_slice(payload);
-                        })?;
-                    }
-                }
-                Op::Copy { src, dst } => {
-                    if src.buf == dst.buf {
-                        bufs[src.buf.0 as usize]
-                            .copy_within(src.off as usize..src.end() as usize, dst.off as usize);
-                    } else {
-                        let (s, d) = split_two(&mut bufs, src.buf.0 as usize, dst.buf.0 as usize);
-                        d[dst.off as usize..dst.end() as usize]
-                            .copy_from_slice(&s[src.off as usize..src.end() as usize]);
-                    }
-                }
-            }
-        }
-        assert!(
-            pending.is_empty(),
-            "rank {}: {} receives never waited on",
-            self.rank,
-            pending.len()
-        );
-        Ok(bufs.swap_remove(1))
+        ctx.bufs[0][..sbuf_init.len()].copy_from_slice(sbuf_init);
+        drive(&self.fabric, std::slice::from_mut(&mut ctx))?;
+        rbuf.copy_from_slice(&ctx.bufs[1]);
+        Ok(())
     }
 
     /// Barrier-synchronized, timed all-to-all (for benchmarking).

@@ -23,19 +23,20 @@
 //! under the destination mailbox lock, so delivery order and fault fate
 //! are deterministic regardless of thread interleaving.
 //!
-//! # Blocking, batching, and the watchdog
+//! # Blocking, polling, and the watchdog
 //!
-//! All blocking waits are `Condvar::wait_timeout` slices feeding a
-//! watchdog: if the world-wide progress counter stalls for longer than
+//! All blocking waits are bounded slices feeding a watchdog: if the
+//! world-wide progress counter stalls for longer than
 //! [`WorldOptions::watchdog`], the waiter snapshots every rank's blocked
 //! state and aborts the world with [`RuntimeError::WatchdogTimeout`].
 //!
-//! [`Fabric::recv_many`] drains a whole batch of expected messages (one
-//! schedule `WaitAll`) under a single lock/wait cycle: one condvar park
-//! covers every outstanding receive instead of one park per message,
-//! which cuts wakeups by the WaitAll fan-in. [`Fabric::poll_recv_into`]
-//! is the non-blocking variant the parallel executor multiplexes many
-//! ranks over.
+//! [`Fabric::recv`] / [`Fabric::recv_into`] block on one channel (a
+//! `Condvar` slice per idle interval). Schedules are run instead by a
+//! driver thread that polls its ranks with [`Fabric::poll_recv_into`]: a
+//! driver registers as each of its ranks' driver, every send to such a
+//! rank unparks it, and it parks with `park_timeout` only after a pass in
+//! which nothing moved — the park token turns an arrival during that pass
+//! into an immediate wake-up instead of a lost one.
 //!
 //! Mutex poisoning is recovered via [`PoisonError::into_inner`] — a
 //! panicking peer must not cascade into a second panic here.
@@ -43,6 +44,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use a2a_faults::FaultPlan;
@@ -107,18 +109,6 @@ impl WorldOptions {
 
 type Key = (u32, u32); // (source rank, tag)
 
-/// One expected message in a [`Fabric::recv_many`] batch.
-#[derive(Debug, Clone, Copy)]
-pub struct RecvWant {
-    pub from: u32,
-    pub tag: u32,
-    /// Index of the schedule op being executed (watchdog diagnostics).
-    pub op_index: Option<usize>,
-    /// Expected payload length; `Some` turns a size disagreement into a
-    /// typed [`RuntimeError::LengthMismatch`] before any bytes are copied.
-    pub len: Option<usize>,
-}
-
 /// A queue entry: references the stored payload by `seq`; carries its
 /// in-flight damage (the corruption hint) instead of damaged bytes.
 struct View {
@@ -145,6 +135,8 @@ struct Channel {
 #[derive(Default)]
 struct MailState {
     chans: HashMap<Key, Channel>,
+    /// The thread driving this rank's schedule, unparked by every send.
+    driver: Option<Thread>,
 }
 
 struct Mailbox {
@@ -314,22 +306,16 @@ impl Fabric {
         })
     }
 
-    /// The condvar slice between watchdog checks: fine-grained enough to
+    /// The wait slice between watchdog checks: fine-grained enough to
     /// notice aborts promptly, coarse enough not to spin.
-    fn wait_slice(&self) -> Duration {
+    pub(crate) fn wait_slice(&self) -> Duration {
         (self.opts.watchdog / 8).max(Duration::from_millis(1))
     }
 
-    /// Park on `me`'s mailbox for one wait slice (or until a message
-    /// arrives / the world aborts). The parallel executor uses this to
-    /// sleep between polling passes over its owned ranks.
-    pub(crate) fn wait_activity(&self, me: u32) {
-        let mbox = &self.boxes[me as usize];
-        let st = lock_recover(&mbox.state);
-        let _ = mbox
-            .arrived
-            .wait_timeout(st, self.wait_slice())
-            .unwrap_or_else(PoisonError::into_inner);
+    /// Make the calling thread `rank`'s driver: every later send to `rank`
+    /// unparks it.
+    pub(crate) fn set_driver(&self, rank: u32) {
+        lock_recover(&self.boxes[rank as usize].state).driver = Some(std::thread::current());
     }
 
     /// Pull a recycled buffer (or allocate) and fill it with `data`. The
@@ -380,7 +366,7 @@ impl Fabric {
         }
         let payload = self.acquire_buf(data);
         let mbox = &self.boxes[to as usize];
-        {
+        let driver = {
             let mut st = lock_recover(&mbox.state);
             let chan = st.chans.entry((from, tag)).or_default();
             let seq = chan.next_seq;
@@ -391,9 +377,13 @@ impl Fabric {
                 None => MessageFault::clean(),
             };
             Self::enqueue_views(chan, seq, fault);
-        }
+            st.driver.clone()
+        };
         self.bump_progress();
         mbox.arrived.notify_all();
+        if let Some(driver) = driver {
+            driver.unpark();
+        }
         Ok(())
     }
 
@@ -453,29 +443,86 @@ impl Fabric {
         self.opts.faults.is_some() && chan.store.iter().any(|(s, _)| *s == chan.delivered)
     }
 
-    /// Blocking batched receive: block until every entry of `wants` has
-    /// been delivered, calling `deliver(index, payload)` as each arrives
-    /// (in matching order per channel, arbitrary order across channels).
+    /// Spend one retransmit on `chan`'s lost head: its seq, or the typed
+    /// error once the budget is spent (or there is none).
+    fn charge_retransmit(
+        &self,
+        chan: &mut Channel,
+        from: u32,
+        me: u32,
+        tag: u32,
+    ) -> Result<u64, RuntimeError> {
+        let seq = chan.delivered;
+        if self.opts.max_retransmits == 0 {
+            return Err(RuntimeError::MessageDropped {
+                from,
+                to: me,
+                tag,
+                seq,
+            });
+        }
+        if chan.head_attempts >= self.opts.max_retransmits {
+            return Err(RuntimeError::RetriesExhausted {
+                from,
+                to: me,
+                tag,
+                seq,
+                attempts: chan.head_attempts,
+            });
+        }
+        chan.head_attempts += 1;
+        Ok(seq)
+    }
+
+    /// Re-enqueue `chan`'s head-of-line view, re-rolling its fault for the
+    /// current attempt.
+    fn retransmit(&self, chan: &mut Channel, from: u32, me: u32, tag: u32) {
+        let plan = self.opts.faults.as_ref().expect("lost implies faults");
+        let seq = chan.delivered;
+        let fault = plan.message_fault_attempt(from, me, tag, seq, chan.head_attempts);
+        Self::enqueue_views(chan, seq, fault);
+        self.bump_progress();
+    }
+
+    /// Copy a delivered `payload` into `out` and pool it. The lengths must
+    /// agree; a disagreement is a typed [`RuntimeError::LengthMismatch`].
+    fn deliver_into(
+        &self,
+        payload: Vec<u8>,
+        me: u32,
+        from: u32,
+        tag: u32,
+        out: &mut [u8],
+    ) -> Result<(), RuntimeError> {
+        if payload.len() != out.len() {
+            return Err(RuntimeError::LengthMismatch {
+                rank: me,
+                from,
+                tag,
+                got: payload.len(),
+                want: out.len(),
+            });
+        }
+        out.copy_from_slice(&payload);
+        self.release_buf(payload);
+        Ok(())
+    }
+
+    /// Blocking matched receive with retransmit recovery and watchdog.
+    /// `op_index` labels the schedule op for watchdog diagnostics.
     ///
-    /// This is the schedule interpreter's `WaitAll` primitive: the whole
-    /// batch shares one lock acquisition per polling pass and one condvar
-    /// park per idle interval, instead of a park per message. Lost or
-    /// corrupted heads are retransmitted with exponential backoff,
-    /// re-rolling the fault dice per attempt; a hung match is bounded by
-    /// the watchdog. On any failure the world is aborted and every
-    /// remaining want is abandoned.
-    pub fn recv_many(
+    /// Lost or corrupted heads are retransmitted with exponential backoff,
+    /// re-rolling the fault dice per attempt; a message not yet sent is
+    /// awaited one wait slice at a time under the watchdog. Any failure
+    /// aborts the world.
+    pub fn recv(
         &self,
         me: u32,
-        wants: &[RecvWant],
-        mut deliver: impl FnMut(usize, &[u8]),
-    ) -> Result<(), RuntimeError> {
-        if wants.is_empty() {
-            return Ok(());
-        }
+        from: u32,
+        tag: u32,
+        op_index: Option<usize>,
+    ) -> Result<Vec<u8>, RuntimeError> {
         let mbox = &self.boxes[me as usize];
-        let mut done = vec![false; wants.len()];
-        let mut remaining = wants.len();
         let mut st = lock_recover(&mbox.state);
         let mut watch = ProgressWatch::new(self);
         let mut registered = false;
@@ -483,154 +530,54 @@ impl Fabric {
             if let Some(e) = self.abort_error() {
                 break Err(e);
             }
-            let mut delivered_any = false;
-            let mut err = None;
-            // Wants whose head-of-line seq is lost in flight this pass.
-            let mut lost: Vec<(usize, u64)> = Vec::new();
-            // Channels that already failed to deliver this pass: FIFO
-            // matching means later wants on the same channel cannot
-            // deliver either (and must not double-charge the head's
-            // retransmit budget).
-            let mut stalled: Vec<Key> = Vec::new();
-            for (i, w) in wants.iter().enumerate() {
-                if done[i] || stalled.contains(&(w.from, w.tag)) {
-                    continue;
+            let chan = st.chans.entry((from, tag)).or_default();
+            match self.take_deliverable(chan, from, me, tag) {
+                Err(e) => break Err(e),
+                Ok(Some(payload)) => {
+                    self.bump_progress();
+                    break Ok(payload);
                 }
-                let chan = st.chans.entry((w.from, w.tag)).or_default();
-                match self.take_deliverable(chan, w.from, me, w.tag) {
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                    Ok(Some(payload)) => {
-                        if let Some(want) = w.len {
-                            if payload.len() != want {
-                                err = Some(RuntimeError::LengthMismatch {
-                                    rank: me,
-                                    from: w.from,
-                                    tag: w.tag,
-                                    got: payload.len(),
-                                    want,
-                                });
-                                break;
-                            }
-                        }
-                        deliver(i, &payload);
-                        self.release_buf(payload);
-                        done[i] = true;
-                        remaining -= 1;
-                        delivered_any = true;
-                        self.bump_progress();
-                    }
-                    Ok(None) => {
-                        stalled.push((w.from, w.tag));
-                        if self.head_lost(chan) {
-                            let seq = chan.delivered;
-                            if self.opts.max_retransmits == 0 {
-                                err = Some(RuntimeError::MessageDropped {
-                                    from: w.from,
-                                    to: me,
-                                    tag: w.tag,
-                                    seq,
-                                });
-                                break;
-                            }
-                            if chan.head_attempts >= self.opts.max_retransmits {
-                                err = Some(RuntimeError::RetriesExhausted {
-                                    from: w.from,
-                                    to: me,
-                                    tag: w.tag,
-                                    seq,
-                                    attempts: chan.head_attempts,
-                                });
-                                break;
-                            }
-                            chan.head_attempts += 1;
-                            lost.push((i, seq));
-                        }
-                    }
-                }
+                Ok(None) => {}
             }
-            if let Some(e) = err {
-                break Err(e);
-            }
-            if remaining == 0 {
-                break Ok(());
-            }
-            if delivered_any {
-                continue;
-            }
-
-            if !lost.is_empty() {
-                // Back off (shortest pending delay wins), then retransmit
-                // every head that is still lost, re-rolling its fault.
-                let plan = Arc::clone(self.opts.faults.as_ref().expect("lost implies faults"));
-                let delay = lost
-                    .iter()
-                    .map(|&(i, _)| {
-                        let w = &wants[i];
-                        let attempts = st
-                            .chans
-                            .get(&(w.from, w.tag))
-                            .map(|c| c.head_attempts)
-                            .unwrap_or(1);
-                        backoff_delay(self.opts.backoff, attempts)
-                    })
-                    .min()
-                    .expect("lost is non-empty");
-                let (g, _) = mbox
+            if self.head_lost(chan) {
+                let seq = match self.charge_retransmit(chan, from, me, tag) {
+                    Ok(seq) => seq,
+                    Err(e) => break Err(e),
+                };
+                let delay = backoff_delay(self.opts.backoff, chan.head_attempts);
+                st = mbox
                     .arrived
                     .wait_timeout(st, delay)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = g;
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
                 if let Some(e) = self.abort_error() {
                     break Err(e);
                 }
-                for &(i, seq) in &lost {
-                    let w = &wants[i];
-                    let chan = st.chans.entry((w.from, w.tag)).or_default();
-                    if chan.delivered == seq {
-                        let fault =
-                            plan.message_fault_attempt(w.from, me, w.tag, seq, chan.head_attempts);
-                        Self::enqueue_views(chan, seq, fault);
-                        self.bump_progress();
-                    }
+                let chan = st.chans.entry((from, tag)).or_default();
+                if chan.delivered == seq {
+                    self.retransmit(chan, from, me, tag);
                 }
                 continue;
             }
-
-            // Genuinely not sent yet: park with the watchdog running. One
-            // park covers the whole batch.
+            // Genuinely not sent yet: park with the watchdog running.
             if !registered {
-                let w = wants
-                    .iter()
-                    .zip(&done)
-                    .find(|(_, d)| !**d)
-                    .map(|(w, _)| w)
-                    .expect("remaining > 0");
                 self.register_blocked(BlockedOp {
                     rank: me,
-                    op_index: w.op_index,
-                    kind: BlockedKind::Recv {
-                        peer: w.from,
-                        tag: w.tag,
-                    },
+                    op_index,
+                    kind: BlockedKind::Recv { peer: from, tag },
                 });
                 registered = true;
             }
-            let slice = self.wait_slice();
-            let (g, _) = mbox
+            st = mbox
                 .arrived
-                .wait_timeout(st, slice)
-                .unwrap_or_else(PoisonError::into_inner);
-            st = g;
+                .wait_timeout(st, self.wait_slice())
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
             if let Some(stalled) = watch.stalled_for(self) {
                 if stalled >= self.opts.watchdog {
                     drop(st);
                     let err = self.fire_watchdog();
-                    if registered {
-                        self.unregister_blocked(me);
-                    }
+                    self.unregister_blocked(me);
                     return Err(err);
                 }
             }
@@ -639,35 +586,9 @@ impl Fabric {
         if registered {
             self.unregister_blocked(me);
         }
-        match result {
-            Ok(()) => Ok(()),
-            // Local delivery failures are world failures: latch and
-            // rebroadcast so peers do not hang waiting for this rank.
-            Err(e) => Err(self.abort(e)),
-        }
-    }
-
-    /// Blocking matched receive with retransmit recovery and watchdog.
-    /// `op_index` labels the schedule op for watchdog diagnostics.
-    pub fn recv(
-        &self,
-        me: u32,
-        from: u32,
-        tag: u32,
-        op_index: Option<usize>,
-    ) -> Result<Vec<u8>, RuntimeError> {
-        let mut got: Option<Vec<u8>> = None;
-        self.recv_many(
-            me,
-            &[RecvWant {
-                from,
-                tag,
-                op_index,
-                len: None,
-            }],
-            |_, payload| got = Some(payload.to_vec()),
-        )?;
-        Ok(got.expect("recv_many succeeded without delivering"))
+        // Local delivery failures are world failures: latch and
+        // rebroadcast so peers do not hang waiting for this rank.
+        result.map_err(|e| self.abort(e))
     }
 
     /// Blocking matched receive straight into `out`. The payload length
@@ -681,24 +602,16 @@ impl Fabric {
         op_index: Option<usize>,
         out: &mut [u8],
     ) -> Result<(), RuntimeError> {
-        let want = out.len();
-        self.recv_many(
-            me,
-            &[RecvWant {
-                from,
-                tag,
-                op_index,
-                len: Some(want),
-            }],
-            |_, payload| out.copy_from_slice(payload),
-        )
+        let payload = self.recv(me, from, tag, op_index)?;
+        self.deliver_into(payload, me, from, tag, out)
+            .map_err(|e| self.abort(e))
     }
 
     /// Non-blocking matched receive into `out`: `Ok(true)` on delivery,
     /// `Ok(false)` if nothing is deliverable yet. A lost or corrupted head
     /// is retransmitted immediately (no backoff — the caller's polling
     /// loop provides the pacing), bounded by the retransmit budget. Errors
-    /// abort the world, exactly like [`Fabric::recv_many`].
+    /// abort the world, exactly like [`Fabric::recv`].
     pub fn poll_recv_into(
         &self,
         me: u32,
@@ -736,46 +649,16 @@ impl Fabric {
     ) -> Result<bool, RuntimeError> {
         loop {
             if let Some(payload) = self.take_deliverable(chan, from, me, tag)? {
-                if payload.len() != out.len() {
-                    return Err(RuntimeError::LengthMismatch {
-                        rank: me,
-                        from,
-                        tag,
-                        got: payload.len(),
-                        want: out.len(),
-                    });
-                }
-                out.copy_from_slice(&payload);
-                self.release_buf(payload);
-                return Ok(true);
+                return self
+                    .deliver_into(payload, me, from, tag, out)
+                    .map(|()| true);
             }
             if !self.head_lost(chan) {
                 return Ok(false);
             }
-            let seq = chan.delivered;
-            if self.opts.max_retransmits == 0 {
-                return Err(RuntimeError::MessageDropped {
-                    from,
-                    to: me,
-                    tag,
-                    seq,
-                });
-            }
-            if chan.head_attempts >= self.opts.max_retransmits {
-                return Err(RuntimeError::RetriesExhausted {
-                    from,
-                    to: me,
-                    tag,
-                    seq,
-                    attempts: chan.head_attempts,
-                });
-            }
-            chan.head_attempts += 1;
-            let plan = self.opts.faults.as_ref().expect("lost implies faults");
-            let fault = plan.message_fault_attempt(from, me, tag, seq, chan.head_attempts);
-            Self::enqueue_views(chan, seq, fault);
-            self.bump_progress();
+            self.charge_retransmit(chan, from, me, tag)?;
             // Loop: the retransmitted view may be deliverable right away.
+            self.retransmit(chan, from, me, tag);
         }
     }
 
@@ -1076,48 +959,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_many_drains_a_batch_across_channels() {
-        let f = Arc::new(Fabric::new(3));
-        // Rank 2 expects one message from each peer plus a second from
-        // rank 0, posted before anything was sent.
-        let f2 = Arc::clone(&f);
-        let h = std::thread::spawn(move || {
-            let wants = [
-                RecvWant {
-                    from: 0,
-                    tag: 1,
-                    op_index: Some(7),
-                    len: Some(2),
-                },
-                RecvWant {
-                    from: 1,
-                    tag: 1,
-                    op_index: Some(7),
-                    len: Some(3),
-                },
-                RecvWant {
-                    from: 0,
-                    tag: 1,
-                    op_index: Some(7),
-                    len: Some(2),
-                },
-            ];
-            let mut got: Vec<Vec<u8>> = vec![Vec::new(); wants.len()];
-            f2.recv_many(2, &wants, |i, payload| got[i] = payload.to_vec())
-                .map(|()| got)
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        f.send(1, 2, 1, &[9, 9, 9]).unwrap();
-        f.send(0, 2, 1, &[1, 2]).unwrap();
-        f.send(0, 2, 1, &[3, 4]).unwrap();
-        let got = h.join().unwrap().unwrap();
-        // Same-channel wants match in posting order; channels commute.
-        assert_eq!(got, vec![vec![1, 2], vec![9, 9, 9], vec![3, 4]]);
-        assert_eq!(f.undelivered(), 0);
-    }
-
-    #[test]
-    fn recv_many_recovers_drops_across_the_batch() {
+    fn recv_into_recovers_drops_across_channels() {
         let plan = Arc::new(FaultPlan::new(0xFEED, 4, FaultSpec::drops(0.4)));
         let f = Fabric::with_options(4, WorldOptions::default().with_faults(plan));
         for from in 0..3u32 {
@@ -1125,22 +967,12 @@ mod tests {
                 f.send(from, 3, 0, &[from as u8, i]).unwrap();
             }
         }
-        let mut wants = Vec::new();
         for from in 0..3u32 {
-            for _ in 0..20 {
-                wants.push(RecvWant {
-                    from,
-                    tag: 0,
-                    op_index: None,
-                    len: Some(2),
-                });
+            for i in 0..20u8 {
+                let mut out = [0u8; 2];
+                f.recv_into(3, from, 0, None, &mut out).unwrap();
+                assert_eq!(out, [from as u8, i]);
             }
-        }
-        let mut got = vec![Vec::new(); wants.len()];
-        f.recv_many(3, &wants, |i, payload| got[i] = payload.to_vec())
-            .unwrap();
-        for (i, w) in wants.iter().enumerate() {
-            assert_eq!(got[i], vec![w.from as u8, (i % 20) as u8]);
         }
         assert_eq!(f.undelivered(), 0);
     }

@@ -5,8 +5,10 @@
 //! a [`ThreadComm`] exposing MPI-shaped point-to-point primitives (tagged,
 //! source-matched, FIFO per `(source, tag)`), a barrier, and collectives —
 //! including [`ThreadComm::alltoall`], which executes any
-//! `a2a_core::AlltoallAlgorithm` by interpreting its compiled schedule with
-//! real buffers.
+//! `a2a_core::AlltoallAlgorithm` by stepping its compiled schedule with
+//! real buffers. [`ParallelExecutor`] runs a whole schedule on a few
+//! threads instead; both use one driver, the `a2a_sched::RankStepper` over
+//! a fabric port (see `parallel.rs`).
 //!
 //! Sends are buffered (eager): a send never blocks, so any schedule that
 //! passes `a2a_sched::validate` executes without deadlock. This matches
@@ -50,7 +52,7 @@ mod pool;
 pub use cancel::CancelToken;
 pub use comm::{AlltoallRun, ThreadComm};
 pub use error::{BlockedKind, BlockedOp, ErrorClass, RuntimeError};
-pub use fabric::{Fabric, RecvWant, WorldOptions};
+pub use fabric::{Fabric, WorldOptions};
 pub use parallel::{ParallelExecutor, ParallelOutput};
 pub use pool::{PoolStats, WorkerPool};
 

@@ -3,11 +3,13 @@
 //! [`ParallelExecutor`] runs every rank of a compiled schedule
 //! concurrently on a small pool of worker threads (`std::thread::scope`),
 //! multiplexing each worker over a static round-robin partition of the
-//! ranks. Workers interpret their ranks' programs cooperatively: sends
-//! are eager (never block), and a `WaitAll` polls the fabric with
-//! [`Fabric::poll_recv_into`] so one stuck rank never wedges its worker —
-//! the worker simply moves on to its next rank and parks only when *none*
-//! of its ranks can progress.
+//! ranks. Each rank is an `a2a_sched::RankStepper` over a *fabric port*, a
+//! transport that sends eagerly and receives with
+//! [`Fabric::poll_recv_into`], so one stuck rank never wedges its worker.
+//! The worker loop, [`drive`], is the runtime's one driver: `ThreadComm`'s
+//! collectives run it too, over a one-rank slice. A driver parks only
+//! after a pass over its ranks in which nothing moved, and any send to one
+//! of its ranks cuts the park short.
 //!
 //! # Determinism
 //!
@@ -17,8 +19,10 @@
 //! * each `(from, to, tag)` channel is posted by exactly one sender in
 //!   its program order, and sequence numbers are assigned under the
 //!   destination mailbox lock, so per-channel payload order is fixed;
-//! * the receiver matches a channel strictly in posting order (a stalled
-//!   head blocks later receives on the *same* channel, never on others);
+//! * the stepper tries receives strictly in posting order, and the port
+//!   refuses, for the rest of a step, any channel that came up empty in
+//!   it — so a message arriving mid-step cannot be taken by a later
+//!   receive on the *same* channel, while other channels keep draining;
 //! * injected fault fates are pure hashes of `(from, to, tag, seq,
 //!   attempt)`, and the fabric's store-once payloads make every recovered
 //!   message byte-identical to its original send;
@@ -27,15 +31,18 @@
 //! The full fault-injection machinery applies unchanged: drops and
 //! corruption are healed by inline retransmission, a dead rank fails the
 //! world before any thread spawns, and a genuinely hung schedule is
-//! bounded by the progress watchdog, which names every blocked rank.
+//! bounded by the progress watchdog, which names every blocked rank. A
+//! schedule error the stepper finds (a block outside its buffer, a wait on
+//! an unknown request) panics the rank with the `ExecError`'s message.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use a2a_sched::{Block, Bytes, Op, RankProgram, ScheduleSource};
+use a2a_sched::step::copy_block;
+use a2a_sched::{
+    Block, Bytes, ExecError, Progress, RankProgram, RankStepper, ScheduleSource, Transport,
+};
 
-use crate::comm::split_two;
 use crate::error::{BlockedKind, BlockedOp, RuntimeError};
 use crate::fabric::{Fabric, ProgressWatch, WorldOptions};
 
@@ -52,23 +59,149 @@ pub struct ParallelOutput {
     pub copy_bytes: Bytes,
 }
 
-/// One rank's interpreter state, owned by a single worker thread.
-struct RankCtx<'s> {
+/// One rank's program, buffers and stepper, owned by the thread driving it.
+pub(crate) struct RankCtx<'s> {
     rank: u32,
     prog: Cow<'s, RankProgram>,
-    bufs: Vec<Vec<u8>>,
-    pc: usize,
-    /// Posted-but-unmatched receives: req id -> (from, tag, destination).
-    pending: HashMap<u32, (u32, u32, Block)>,
-    /// Requests already complete (sends at post time, receives at match).
-    done_reqs: Vec<bool>,
+    pub(crate) bufs: Vec<Vec<u8>>,
+    stepper: RankStepper,
     finished: bool,
     /// Whether this rank currently has a `BlockedOp` entry registered
     /// for watchdog diagnostics.
     registered: bool,
-    messages: usize,
-    message_bytes: Bytes,
-    copy_bytes: Bytes,
+}
+
+impl<'s> RankCtx<'s> {
+    /// Rank `rank` at the start of `prog`, with zeroed buffers of `sizes`.
+    pub(crate) fn new(rank: u32, prog: Cow<'s, RankProgram>, sizes: &[Bytes]) -> Self {
+        RankCtx {
+            rank,
+            stepper: RankStepper::new(&prog),
+            prog,
+            bufs: sizes.iter().map(|&s| vec![0u8; s as usize]).collect(),
+            finished: false,
+            registered: false,
+        }
+    }
+}
+
+/// The fabric [`Transport`] for one step of one rank.
+struct FabricPort<'a> {
+    fabric: &'a Fabric,
+    bufs: &'a mut [Vec<u8>],
+    /// Channels that came up empty this step. They stay refused until the
+    /// step ends: a message that lands on one mid-step belongs to the
+    /// earlier receive that already missed it, not to a later one.
+    stalled: &'a mut Vec<(u32, u32)>,
+}
+
+impl Transport for FabricPort<'_> {
+    type Error = RuntimeError;
+
+    fn buffer_len(&self, _rank: u32, buf: u8) -> Option<Bytes> {
+        self.bufs.get(buf as usize).map(|b| b.len() as Bytes)
+    }
+
+    fn send(
+        &mut self,
+        rank: u32,
+        _pc: usize,
+        to: u32,
+        tag: u32,
+        block: Block,
+    ) -> Result<(), RuntimeError> {
+        let data = &self.bufs[block.buf.0 as usize][block.off as usize..block.end() as usize];
+        self.fabric.send(rank, to, tag, data)
+    }
+
+    fn recv(&mut self, rank: u32, from: u32, tag: u32, block: Block) -> Result<bool, RuntimeError> {
+        if self.stalled.contains(&(from, tag)) {
+            return Ok(false);
+        }
+        let dst = &mut self.bufs[block.buf.0 as usize][block.off as usize..block.end() as usize];
+        let got = self.fabric.poll_recv_into(rank, from, tag, dst)?;
+        if !got {
+            self.stalled.push((from, tag));
+        }
+        Ok(got)
+    }
+
+    fn copy(&mut self, _rank: u32, src: Block, dst: Block) {
+        copy_block(self.bufs, src, dst);
+    }
+
+    fn reject(&mut self, err: ExecError) -> RuntimeError {
+        panic!("{err}")
+    }
+}
+
+/// Drive `ctxs` until all have finished, the world aborts, or the
+/// watchdog fires. The calling thread becomes each rank's driver, steps
+/// the ranks round-robin, and parks for at most one wait slice only after
+/// a pass in which nothing moved; a send to any of its ranks unparks it,
+/// including one that lands during the pass (the park token keeps it).
+/// Errors have already aborted the world when returned.
+pub(crate) fn drive(fabric: &Fabric, ctxs: &mut [RankCtx<'_>]) -> Result<(), RuntimeError> {
+    for ctx in ctxs.iter() {
+        fabric.set_driver(ctx.rank);
+    }
+    let mut watch = ProgressWatch::new(fabric);
+    let mut stalled = Vec::new();
+    let result = 'run: loop {
+        if let Some(e) = fabric.abort_error() {
+            break Err(e);
+        }
+        let mut progressed = false;
+        let mut unfinished = false;
+        for ctx in ctxs.iter_mut().filter(|c| !c.finished) {
+            stalled.clear();
+            let mut port = FabricPort {
+                fabric,
+                bufs: &mut ctx.bufs,
+                stalled: &mut stalled,
+            };
+            let moved = match ctx.stepper.step(ctx.rank, &ctx.prog, &mut port) {
+                Ok(p) => p == Progress::Advanced,
+                Err(e) => break 'run Err(e),
+            };
+            ctx.finished = ctx.stepper.finished(&ctx.prog) && ctx.stepper.posted() == 0;
+            progressed |= moved;
+            unfinished |= !ctx.finished;
+            if (moved || ctx.finished) && ctx.registered {
+                fabric.unregister_blocked(ctx.rank);
+                ctx.registered = false;
+            }
+        }
+        if !unfinished {
+            break Ok(());
+        }
+        if progressed {
+            continue;
+        }
+        // A full pass moved nothing: publish each blocked state for the
+        // watchdog, then park until a send to one of these ranks.
+        for ctx in ctxs.iter_mut().filter(|c| !c.finished && !c.registered) {
+            if let Some((peer, tag)) = ctx.stepper.blocked_on(&ctx.prog) {
+                fabric.register_blocked(BlockedOp {
+                    rank: ctx.rank,
+                    op_index: Some(ctx.stepper.pc()),
+                    kind: BlockedKind::Recv { peer, tag },
+                });
+                ctx.registered = true;
+            }
+        }
+        std::thread::park_timeout(fabric.wait_slice());
+        if let Some(stalled) = watch.stalled_for(fabric) {
+            if stalled >= fabric.options().watchdog {
+                break Err(fabric.fire_watchdog());
+            }
+        }
+    };
+    for ctx in ctxs.iter_mut().filter(|c| c.registered) {
+        fabric.unregister_blocked(ctx.rank);
+        ctx.registered = false;
+    }
+    result
 }
 
 /// Runs all ranks of a schedule on a bounded worker pool.
@@ -120,26 +253,9 @@ impl ParallelExecutor {
         // zeroed and the send buffers seeded by `fill`.
         let mut chunks: Vec<Vec<RankCtx<'_>>> = (0..workers).map(|_| Vec::new()).collect();
         for r in 0..n as u32 {
-            let prog = source.rank_program(r);
-            let mut bufs: Vec<Vec<u8>> = source
-                .buffers(r)
-                .into_iter()
-                .map(|s| vec![0u8; s as usize])
-                .collect();
-            fill(r, &mut bufs[0]);
-            chunks[r as usize % workers].push(RankCtx {
-                rank: r,
-                done_reqs: vec![false; prog.n_reqs as usize],
-                prog,
-                bufs,
-                pc: 0,
-                pending: HashMap::new(),
-                finished: false,
-                registered: false,
-                messages: 0,
-                message_bytes: 0,
-                copy_bytes: 0,
-            });
+            let mut ctx = RankCtx::new(r, source.rank_program(r), &source.buffers(r));
+            fill(r, &mut ctx.bufs[0]);
+            chunks[r as usize % workers].push(ctx);
         }
 
         std::thread::scope(|scope| {
@@ -147,9 +263,7 @@ impl ParallelExecutor {
                 let fabric = &fabric;
                 let first_rank = chunk[0].rank;
                 scope.spawn(move || {
-                    if let Err(payload) =
-                        catch_unwind(AssertUnwindSafe(|| Self::worker(fabric, chunk)))
-                    {
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| drive(fabric, chunk))) {
                         // Unblock peers before re-raising so the scope's
                         // implicit joins all complete.
                         fabric.abort(RuntimeError::RankPanicked { rank: first_rank });
@@ -176,206 +290,13 @@ impl ParallelExecutor {
             copy_bytes: 0,
         };
         for mut ctx in ctxs {
+            let stats = ctx.stepper.stats();
             out.rbufs.push(ctx.bufs.swap_remove(1));
-            out.messages += ctx.messages;
-            out.message_bytes += ctx.message_bytes;
-            out.copy_bytes += ctx.copy_bytes;
+            out.messages += stats.messages;
+            out.message_bytes += stats.message_bytes;
+            out.copy_bytes += stats.copy_bytes;
         }
         Ok(out)
-    }
-
-    /// One worker's life: round-robin over its owned ranks until all have
-    /// finished, the world aborts, or the watchdog fires. Parks for one
-    /// wait slice only when a full pass over every rank made no progress.
-    fn worker(fabric: &Fabric, ctxs: &mut [RankCtx<'_>]) {
-        let mut watch = ProgressWatch::new(fabric);
-        loop {
-            if fabric.abort_error().is_some() {
-                break;
-            }
-            let mut progressed = false;
-            let mut unfinished = false;
-            for ctx in ctxs.iter_mut() {
-                if ctx.finished {
-                    continue;
-                }
-                match Self::advance(ctx, fabric) {
-                    // The fabric already latched and broadcast the error.
-                    Err(_) => {
-                        Self::deregister_all(fabric, ctxs);
-                        return;
-                    }
-                    Ok(p) => {
-                        if ctx.pc >= ctx.prog.ops.len() {
-                            assert!(
-                                ctx.pending.is_empty(),
-                                "rank {}: {} receives never waited on",
-                                ctx.rank,
-                                ctx.pending.len()
-                            );
-                            ctx.finished = true;
-                            progressed = true;
-                        } else {
-                            unfinished = true;
-                            progressed |= p;
-                        }
-                        if (p || ctx.finished) && ctx.registered {
-                            fabric.unregister_blocked(ctx.rank);
-                            ctx.registered = false;
-                        }
-                    }
-                }
-            }
-            if !unfinished {
-                break;
-            }
-            if progressed {
-                continue;
-            }
-            // Full pass, zero progress: every live rank is stuck on a
-            // receive. Publish each blocked state for the watchdog, then
-            // park on the first stuck rank's mailbox for one slice (a
-            // message for any owned rank is picked up within a slice).
-            let mut park_rank = None;
-            for ctx in ctxs.iter_mut() {
-                if ctx.finished {
-                    continue;
-                }
-                if park_rank.is_none() {
-                    park_rank = Some(ctx.rank);
-                }
-                if !ctx.registered {
-                    if let Some(op) = Self::stuck_recv(ctx) {
-                        fabric.register_blocked(op);
-                        ctx.registered = true;
-                    }
-                }
-            }
-            fabric.wait_activity(park_rank.expect("unfinished implies a live rank"));
-            if let Some(stalled) = watch.stalled_for(fabric) {
-                if stalled >= fabric.options().watchdog {
-                    fabric.fire_watchdog();
-                    break;
-                }
-            }
-        }
-        Self::deregister_all(fabric, ctxs);
-    }
-
-    fn deregister_all(fabric: &Fabric, ctxs: &mut [RankCtx<'_>]) {
-        for ctx in ctxs.iter_mut() {
-            if ctx.registered {
-                fabric.unregister_blocked(ctx.rank);
-                ctx.registered = false;
-            }
-        }
-    }
-
-    /// What `ctx` is blocked on, for watchdog diagnostics: the first
-    /// unmatched receive of the `WaitAll` at its program counter.
-    fn stuck_recv(ctx: &RankCtx<'_>) -> Option<BlockedOp> {
-        if let Op::WaitAll { first_req, count } = ctx.prog.ops[ctx.pc].op {
-            for req in first_req..first_req + count {
-                if ctx.done_reqs[req as usize] {
-                    continue;
-                }
-                if let Some(&(from, tag, _)) = ctx.pending.get(&req) {
-                    return Some(BlockedOp {
-                        rank: ctx.rank,
-                        op_index: Some(ctx.pc),
-                        kind: BlockedKind::Recv { peer: from, tag },
-                    });
-                }
-            }
-        }
-        None
-    }
-
-    /// Run `ctx` forward until it finishes or blocks at a `WaitAll` with
-    /// undelivered receives. Returns whether anything progressed. Errors
-    /// have already aborted the world when returned.
-    fn advance(ctx: &mut RankCtx<'_>, fabric: &Fabric) -> Result<bool, RuntimeError> {
-        let mut progressed = false;
-        while ctx.pc < ctx.prog.ops.len() {
-            match ctx.prog.ops[ctx.pc].op {
-                Op::Isend {
-                    to,
-                    block,
-                    tag,
-                    req,
-                    ..
-                } => {
-                    fabric.send(
-                        ctx.rank,
-                        to,
-                        tag,
-                        &ctx.bufs[block.buf.0 as usize][block.off as usize..block.end() as usize],
-                    )?;
-                    ctx.done_reqs[req as usize] = true;
-                }
-                Op::Irecv {
-                    from,
-                    block,
-                    tag,
-                    req,
-                } => {
-                    ctx.pending.insert(req, (from, tag, block));
-                }
-                Op::WaitAll { first_req, count } => {
-                    // Poll each outstanding receive in request (= posting)
-                    // order. A stalled head parks all later receives on
-                    // the same channel — FIFO matching must not skip — but
-                    // other channels keep draining.
-                    let mut all = true;
-                    let mut stalled: Vec<(u32, u32)> = Vec::new();
-                    for req in first_req..first_req + count {
-                        if ctx.done_reqs[req as usize] {
-                            continue;
-                        }
-                        let (from, tag, block) = match ctx.pending.get(&req) {
-                            Some(&v) => v,
-                            None => {
-                                panic!("rank {}: WaitAll names unposted request {req}", ctx.rank)
-                            }
-                        };
-                        if stalled.contains(&(from, tag)) {
-                            all = false;
-                            continue;
-                        }
-                        let dst = &mut ctx.bufs[block.buf.0 as usize]
-                            [block.off as usize..block.end() as usize];
-                        if fabric.poll_recv_into(ctx.rank, from, tag, dst)? {
-                            ctx.pending.remove(&req);
-                            ctx.done_reqs[req as usize] = true;
-                            ctx.messages += 1;
-                            ctx.message_bytes += block.len;
-                            progressed = true;
-                        } else {
-                            all = false;
-                            stalled.push((from, tag));
-                        }
-                    }
-                    if !all {
-                        return Ok(progressed);
-                    }
-                }
-                Op::Copy { src, dst } => {
-                    if src.buf == dst.buf {
-                        ctx.bufs[src.buf.0 as usize]
-                            .copy_within(src.off as usize..src.end() as usize, dst.off as usize);
-                    } else {
-                        let (s, d) =
-                            split_two(&mut ctx.bufs, src.buf.0 as usize, dst.buf.0 as usize);
-                        d[dst.off as usize..dst.end() as usize]
-                            .copy_from_slice(&s[src.off as usize..src.end() as usize]);
-                    }
-                    ctx.copy_bytes += src.len;
-                }
-            }
-            ctx.pc += 1;
-            progressed = true;
-        }
-        Ok(progressed)
     }
 }
 

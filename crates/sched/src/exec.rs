@@ -31,15 +31,18 @@
 //! * all run-to-run state lives in a reusable [`ExecScratch`], so a bench
 //!   loop allocates nothing after the first iteration.
 //!
-//! The pre-PR executor is preserved verbatim in [`crate::exec_legacy`]; a
-//! differential test pins this path byte-identical to it.
+//! The interpreter is the shared [`RankStepper`] driven by [`step::drive`];
+//! this module is its zero-copy transport. `a2a_testutil::LegacyDataExecutor`
+//! runs the same stepper over an owned-payload `HashMap` mailbox, and a
+//! differential test pins this transport byte-identical to it.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use a2a_topo::Rank;
 
-use crate::ir::{Block, Bytes, Op, RankProgram};
+use crate::ir::{Block, BufId, Bytes, Op, RankProgram};
+use crate::step::{self, copy_block, split_two, RankStepper, Transport};
 use crate::ScheduleSource;
 
 /// Execution failure, with enough context to debug the offending schedule.
@@ -196,6 +199,21 @@ pub struct FaultStats {
 impl FaultStats {
     pub fn any(&self) -> bool {
         self.dropped + self.duplicated + self.corrupted > 0
+    }
+
+    /// `cause`, wrapped in [`ExecError::FaultInjected`] once anything was
+    /// injected: a failure after injection is the *expected* loud
+    /// detection, and the counts let a test tell it from a schedule bug.
+    pub fn blame(&self, cause: ExecError) -> ExecError {
+        if !self.any() {
+            return cause;
+        }
+        ExecError::FaultInjected {
+            dropped: self.dropped,
+            duplicated: self.duplicated,
+            corrupted: self.corrupted,
+            cause: Box::new(cause),
+        }
     }
 }
 
@@ -538,24 +556,9 @@ impl Arena {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct PendingRecv {
-    from: Rank,
-    tag: u32,
-    block: Block,
-    req: u32,
-}
-
-/// All mutable state of one execution, reusable across runs of the same
-/// [`PreparedSchedule`]: buffers, the mailbox table, the message-node pool,
-/// the arena, and per-rank interpreter state. After the first run a bench
-/// loop allocates nothing.
-///
-/// Buffers are *not* re-zeroed between runs; `fill` rewrites the send
-/// buffers and a schedule that verifies from zero-initialised buffers
-/// overwrites every receive-buffer byte it produces, so reused runs yield
-/// the same receive buffers as fresh ones.
-pub struct ExecScratch {
+/// The zero-copy transport's state: every rank's buffers, the mailbox
+/// table, the message-node pool and the arena.
+struct Mail {
     bufs: Vec<Vec<Vec<u8>>>,
     index: MailIndex,
     streams: Vec<Stream>,
@@ -564,10 +567,21 @@ pub struct ExecScratch {
     nodes: Vec<MsgNode>,
     free_node: u32,
     arena: Arena,
-    pending: Vec<VecDeque<PendingRecv>>,
-    req_done: Vec<Vec<bool>>,
-    pc: Vec<usize>,
     in_flight: usize,
+}
+
+/// All mutable state of one execution, reusable across runs of the same
+/// [`PreparedSchedule`]: buffers, the mailbox table, the message-node pool,
+/// the arena, and one [`RankStepper`] per rank. After the first run a
+/// bench loop allocates nothing.
+///
+/// Buffers are *not* re-zeroed between runs; `fill` rewrites the send
+/// buffers and a schedule that verifies from zero-initialised buffers
+/// overwrites every receive-buffer byte it produces, so reused runs yield
+/// the same receive buffers as fresh ones.
+pub struct ExecScratch {
+    mail: Mail,
+    steppers: Vec<RankStepper>,
 }
 
 impl ExecScratch {
@@ -585,62 +599,55 @@ impl ExecScratch {
             (MailIndex::Sparse(HashMap::new()), Vec::new())
         };
         ExecScratch {
-            bufs,
-            index,
-            streams,
-            touched: Vec::new(),
-            nodes: Vec::new(),
-            free_node: NONE_NODE,
-            arena: Arena::default(),
-            pending: (0..n).map(|_| VecDeque::new()).collect(),
-            req_done: prep
-                .progs
-                .iter()
-                .map(|p| vec![false; p.n_reqs as usize])
-                .collect(),
-            pc: vec![0; n],
-            in_flight: 0,
+            mail: Mail {
+                bufs,
+                index,
+                streams,
+                touched: Vec::new(),
+                nodes: Vec::new(),
+                free_node: NONE_NODE,
+                arena: Arena::default(),
+                in_flight: 0,
+            },
+            steppers: prep.progs.iter().map(|p| RankStepper::new(p)).collect(),
         }
     }
 
     /// Rank `rank`'s receive buffer after a [`DataExecutor::run_prepared`].
     pub fn rbuf(&self, rank: Rank) -> &[u8] {
-        self.bufs[rank as usize]
+        self.mail.bufs[rank as usize]
             .get(1)
             .map_or(&[], |b| b.as_slice())
     }
 
     /// Return to the ready state, keeping every allocation.
     fn reset(&mut self) {
-        match &mut self.index {
+        let m = &mut self.mail;
+        match &mut m.index {
             MailIndex::Dense => {
-                for &i in &self.touched {
-                    self.streams[i as usize] = Stream::default();
+                for &i in &m.touched {
+                    m.streams[i as usize] = Stream::default();
                 }
-                self.touched.clear();
+                m.touched.clear();
             }
             MailIndex::Sparse(map) => {
                 map.clear();
-                self.streams.clear();
+                m.streams.clear();
             }
         }
-        if self.in_flight != 0 {
+        if m.in_flight != 0 {
             // An errored run left nodes enqueued; the pool and arena are
             // cheaper to rebuild than to unpick.
-            self.nodes.clear();
-            self.free_node = NONE_NODE;
-            self.arena.clear();
-            self.in_flight = 0;
+            m.nodes.clear();
+            m.free_node = NONE_NODE;
+            m.arena.clear();
+            m.in_flight = 0;
         }
-        for p in &mut self.pending {
-            p.clear();
-        }
-        for rd in &mut self.req_done {
-            rd.iter_mut().for_each(|b| *b = false);
-        }
-        self.pc.iter_mut().for_each(|pc| *pc = 0);
+        self.steppers.iter_mut().for_each(RankStepper::reset);
     }
+}
 
+impl Mail {
     /// Index of the `(from, to, tag)` stream, creating it in sparse mode.
     fn stream_idx(&mut self, prep: &PreparedSchedule<'_>, from: Rank, to: Rank, tag: u32) -> usize {
         match &mut self.index {
@@ -658,131 +665,51 @@ impl ExecScratch {
             }
         }
     }
-}
-
-/// Mutably borrow two distinct elements of a slice.
-fn split_two<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    debug_assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = v.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = v.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
-
-/// Copy `dst.len` bytes from `(src_buf, src_off)` of rank `from` into `dst`
-/// of rank `to`, handling the same-rank (and same-buffer) cases. Overlap
-/// within one buffer is memmove-safe via `copy_within`, matching the
-/// snapshot-then-write semantics of the legacy executor.
-fn copy_across(
-    bufs: &mut [Vec<Vec<u8>>],
-    from: Rank,
-    src_buf: u8,
-    src_off: Bytes,
-    to: Rank,
-    dst: Block,
-) {
-    let len = dst.len as usize;
-    let (so, doff) = (src_off as usize, dst.off as usize);
-    if from == to {
-        let rank = &mut bufs[to as usize];
-        if src_buf == dst.buf.0 {
-            rank[dst.buf.0 as usize].copy_within(so..so + len, doff);
-        } else {
-            let (s, d) = split_two(rank, src_buf as usize, dst.buf.0 as usize);
-            d[doff..doff + len].copy_from_slice(&s[so..so + len]);
-        }
-    } else {
-        let (s, d) = split_two(bufs, from as usize, to as usize);
-        d[dst.buf.0 as usize][doff..doff + len].copy_from_slice(&s[src_buf as usize][so..so + len]);
-    }
-}
-
-/// The round-robin interpreter over one prepared schedule + scratch.
-struct Engine<'e, 'p> {
-    prep: &'e PreparedSchedule<'p>,
-    s: &'e mut ExecScratch,
-    injector: Option<&'e dyn FaultInjector>,
-    stats: ExecStats,
-    faults: FaultStats,
-}
-
-impl Engine<'_, '_> {
-    fn drive(&mut self) -> Result<(), ExecError> {
-        loop {
-            let mut progressed = false;
-            let mut all_done = true;
-            for r in 0..self.prep.nranks {
-                progressed |= self.advance(r as Rank)?;
-                all_done &= self.done(r as Rank);
-            }
-            if all_done {
-                return Ok(());
-            }
-            if !progressed {
-                let blocked = (0..self.prep.nranks)
-                    .filter(|&r| !self.done(r as Rank))
-                    .map(|r| (r as Rank, self.s.pc[r]))
-                    .collect();
-                return Err(ExecError::Deadlock { blocked });
-            }
-        }
-    }
-
-    fn done(&self, rank: Rank) -> bool {
-        self.s.pc[rank as usize] >= self.prep.prog(rank).ops.len()
-    }
-
-    fn check_block(&self, rank: Rank, block: Block) -> Result<(), ExecError> {
-        let bufs = &self.s.bufs[rank as usize];
-        let idx = block.buf.0 as usize;
-        let size = match bufs.get(idx) {
-            Some(b) => b.len() as Bytes,
-            None => {
-                return Err(ExecError::UnknownBuffer {
-                    rank,
-                    buf: block.buf.0,
-                })
-            }
-        };
-        if block.end() > size {
-            return Err(ExecError::OutOfBounds {
-                rank,
-                buf: block.buf.0,
-                end: block.end(),
-                size,
-            });
-        }
-        Ok(())
-    }
 
     /// Take a node from the pool free list (or grow it).
     fn node_alloc(&mut self, node: MsgNode) -> u32 {
-        if self.s.free_node != NONE_NODE {
-            let ni = self.s.free_node;
-            self.s.free_node = self.s.nodes[ni as usize].next;
-            self.s.nodes[ni as usize] = node;
+        if self.free_node != NONE_NODE {
+            let ni = self.free_node;
+            self.free_node = self.nodes[ni as usize].next;
+            self.nodes[ni as usize] = node;
             ni
         } else {
-            self.s.nodes.push(node);
-            (self.s.nodes.len() - 1) as u32
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
         }
     }
 
     fn enqueue(&mut self, stream: usize, mut node: MsgNode) {
         node.next = NONE_NODE;
         let ni = self.node_alloc(node);
-        let st = &mut self.s.streams[stream];
+        let st = &mut self.streams[stream];
         if st.tail == NONE_NODE {
             st.head = ni;
         } else {
             let tail = st.tail as usize;
-            self.s.nodes[tail].next = ni;
+            self.nodes[tail].next = ni;
         }
-        self.s.streams[stream].tail = ni;
-        self.s.in_flight += 1;
+        self.streams[stream].tail = ni;
+        self.in_flight += 1;
+    }
+}
+
+/// The zero-copy [`Transport`]: one run's view of a prepared schedule and
+/// its scratch mailbox.
+struct Port<'e, 'p> {
+    prep: &'e PreparedSchedule<'p>,
+    m: &'e mut Mail,
+    injector: Option<&'e dyn FaultInjector>,
+    faults: FaultStats,
+}
+
+impl Transport for Port<'_, '_> {
+    type Error = ExecError;
+
+    fn buffer_len(&self, rank: Rank, buf: u8) -> Option<Bytes> {
+        self.m.bufs[rank as usize]
+            .get(buf as usize)
+            .map(|b| b.len() as Bytes)
     }
 
     /// Post one sent message. The common path allocates nothing and copies
@@ -791,15 +718,23 @@ impl Engine<'_, '_> {
     /// snapshotted into the arena; an injected duplicate copies into a
     /// second (recycled) arena slot — payload clones happen only when a
     /// duplicate fault is actually injected.
-    fn post_message(&mut self, from: Rank, to: Rank, tag: u32, block: Block, stable: bool) {
-        let stream = self.s.stream_idx(self.prep, from, to, tag);
-        if self.s.streams[stream].next_seq == 0 {
-            if let MailIndex::Dense = self.s.index {
-                self.s.touched.push(stream as u32);
+    fn send(
+        &mut self,
+        from: Rank,
+        pc: usize,
+        to: Rank,
+        tag: u32,
+        block: Block,
+    ) -> Result<(), ExecError> {
+        let m = &mut *self.m;
+        let stream = m.stream_idx(self.prep, from, to, tag);
+        if m.streams[stream].next_seq == 0 {
+            if let MailIndex::Dense = m.index {
+                m.touched.push(stream as u32);
             }
         }
-        let seq = self.s.streams[stream].next_seq;
-        self.s.streams[stream].next_seq += 1;
+        let seq = m.streams[stream].next_seq;
+        m.streams[stream].next_seq += 1;
 
         let fault = match self.injector {
             Some(inj) => inj.on_message(from, to, tag, seq),
@@ -807,9 +742,9 @@ impl Engine<'_, '_> {
         };
         if fault.drop {
             self.faults.dropped += 1;
-            return;
+            return Ok(());
         }
-        if stable && fault.corrupt.is_none() {
+        if self.prep.stable[from as usize][pc] && fault.corrupt.is_none() {
             let node = MsgNode {
                 src: from,
                 buf: block.buf.0,
@@ -819,17 +754,16 @@ impl Engine<'_, '_> {
             };
             if fault.duplicate {
                 self.faults.duplicated += 1;
-                self.enqueue(stream, node);
+                m.enqueue(stream, node);
             }
-            self.enqueue(stream, node);
-            return;
+            m.enqueue(stream, node);
+            return Ok(());
         }
         // Snapshot into the arena (recycled slots are fully overwritten).
-        let off = self.s.arena.alloc(block.len);
-        let sc = &mut *self.s;
+        let off = m.arena.alloc(block.len);
         let src =
-            &sc.bufs[from as usize][block.buf.0 as usize][block.off as usize..block.end() as usize];
-        let dst = &mut sc.arena.bytes[off as usize..(off + block.len) as usize];
+            &m.bufs[from as usize][block.buf.0 as usize][block.off as usize..block.end() as usize];
+        let dst = &mut m.arena.bytes[off as usize..(off + block.len) as usize];
         dst.copy_from_slice(src);
         if fault.apply_corrupt(dst) {
             self.faults.corrupted += 1;
@@ -843,12 +777,11 @@ impl Engine<'_, '_> {
         };
         if fault.duplicate {
             self.faults.duplicated += 1;
-            let dup_off = self.s.arena.alloc(block.len);
-            self.s
-                .arena
+            let dup_off = m.arena.alloc(block.len);
+            m.arena
                 .bytes
                 .copy_within(off as usize..(off + block.len) as usize, dup_off as usize);
-            self.enqueue(
+            m.enqueue(
                 stream,
                 MsgNode {
                     off: dup_off,
@@ -856,160 +789,68 @@ impl Engine<'_, '_> {
                 },
             );
         }
-        self.enqueue(stream, node);
+        m.enqueue(stream, node);
+        Ok(())
     }
 
-    /// Try to satisfy rank's pending receives, in posting order.
-    fn progress_recvs(&mut self, rank: Rank) -> Result<bool, ExecError> {
-        let mut any = false;
-        let mut i = 0;
-        while i < self.s.pending[rank as usize].len() {
-            let p = self.s.pending[rank as usize][i];
-            let stream = self.s.stream_idx(self.prep, p.from, rank, p.tag);
-            let head = self.s.streams[stream].head;
-            if head == NONE_NODE {
-                i += 1;
-                continue;
-            }
-            let node = self.s.nodes[head as usize];
-            if node.len != p.block.len {
-                return Err(ExecError::LengthMismatch {
-                    rank,
-                    from: p.from,
-                    tag: p.tag,
-                    sent: node.len,
-                    posted: p.block.len,
-                });
-            }
-            // Unlink the head and return it to the pool.
-            {
-                let st = &mut self.s.streams[stream];
-                st.head = node.next;
-                if st.head == NONE_NODE {
-                    st.tail = NONE_NODE;
-                }
-            }
-            self.s.nodes[head as usize].next = self.s.free_node;
-            self.s.free_node = head;
-            self.s.in_flight -= 1;
-
-            if node.src == SRC_ARENA {
-                let sc = &mut *self.s;
-                let src = &sc.arena.bytes[node.off as usize..(node.off + node.len) as usize];
-                sc.bufs[rank as usize][p.block.buf.0 as usize]
-                    [p.block.off as usize..p.block.end() as usize]
-                    .copy_from_slice(src);
-                sc.arena.release(node.off, node.len);
-            } else {
-                copy_across(
-                    &mut self.s.bufs,
-                    node.src,
-                    node.buf,
-                    node.off,
-                    rank,
-                    p.block,
-                );
-            }
-            self.stats.messages += 1;
-            self.stats.message_bytes += node.len;
-            self.s.req_done[rank as usize][p.req as usize] = true;
-            self.s.pending[rank as usize].remove(i);
-            any = true;
+    fn recv(&mut self, rank: Rank, from: Rank, tag: u32, block: Block) -> Result<bool, ExecError> {
+        let m = &mut *self.m;
+        let stream = m.stream_idx(self.prep, from, rank, tag);
+        let head = m.streams[stream].head;
+        if head == NONE_NODE {
+            return Ok(false);
         }
-        Ok(any)
-    }
-
-    /// Advance one rank as far as possible; returns whether it progressed.
-    fn advance(&mut self, rank: Rank) -> Result<bool, ExecError> {
-        let mut progressed = self.progress_recvs(rank)?;
-        let r = rank as usize;
-        loop {
-            let prog = self.prep.prog(rank);
-            let pc = self.s.pc[r];
-            if pc >= prog.ops.len() {
-                return Ok(progressed);
-            }
-            match prog.ops[pc].op {
-                Op::Isend {
-                    to,
-                    block,
-                    tag,
-                    req,
-                    ..
-                } => {
-                    self.check_block(rank, block)?;
-                    let stable = self.prep.stable[r][pc];
-                    self.post_message(rank, to, tag, block, stable);
-                    self.s.req_done[r][req as usize] = true;
-                    self.s.pc[r] += 1;
-                }
-                Op::Irecv {
-                    from,
-                    block,
-                    tag,
-                    req,
-                    ..
-                } => {
-                    self.check_block(rank, block)?;
-                    self.s.pending[r].push_back(PendingRecv {
-                        from,
-                        tag,
-                        block,
-                        req,
-                    });
-                    self.s.pc[r] += 1;
-                }
-                Op::WaitAll { first_req, count } => {
-                    self.progress_recvs(rank)?;
-                    let mut ready = true;
-                    for req in first_req..first_req + count {
-                        match self.s.req_done[r].get(req as usize) {
-                            Some(true) => {}
-                            Some(false) => {
-                                ready = false;
-                                break;
-                            }
-                            None => return Err(ExecError::UnknownRequest { rank, req }),
-                        }
-                    }
-                    if !ready {
-                        return Ok(progressed);
-                    }
-                    self.s.pc[r] += 1;
-                }
-                Op::Copy { src, dst } => {
-                    self.check_block(rank, src)?;
-                    self.check_block(rank, dst)?;
-                    copy_across(&mut self.s.bufs, rank, src.buf.0, src.off, rank, dst);
-                    self.stats.copy_bytes += src.len;
-                    self.s.pc[r] += 1;
-                }
-            }
-            progressed = true;
-        }
-    }
-
-    fn finish(&self) -> Result<(), ExecError> {
-        for (r, pend) in self.s.pending.iter().enumerate() {
-            if !pend.is_empty() {
-                return Err(ExecError::DanglingReceives {
-                    rank: r as Rank,
-                    count: pend.len(),
-                });
-            }
-        }
-        if self.s.in_flight > 0 {
-            return Err(ExecError::UnconsumedMessages {
-                count: self.s.in_flight,
+        let node = m.nodes[head as usize];
+        if node.len != block.len {
+            return Err(ExecError::LengthMismatch {
+                rank,
+                from,
+                tag,
+                sent: node.len,
+                posted: block.len,
             });
         }
-        Ok(())
+        // Unlink the head and return it to the pool.
+        let st = &mut m.streams[stream];
+        st.head = node.next;
+        if st.head == NONE_NODE {
+            st.tail = NONE_NODE;
+        }
+        m.nodes[head as usize].next = m.free_node;
+        m.free_node = head;
+        m.in_flight -= 1;
+
+        let dst = block.off as usize..block.end() as usize;
+        if node.src == SRC_ARENA {
+            let src = &m.arena.bytes[node.off as usize..(node.off + node.len) as usize];
+            m.bufs[rank as usize][block.buf.0 as usize][dst].copy_from_slice(src);
+            m.arena.release(node.off, node.len);
+        } else {
+            // A stable send, read from the sender's live buffer.
+            let src = Block::new(BufId(node.buf), node.off, node.len);
+            if node.src == rank {
+                copy_block(&mut m.bufs[rank as usize], src, block);
+            } else {
+                let (s, d) = split_two(&mut m.bufs, node.src as usize, rank as usize);
+                d[block.buf.0 as usize][dst].copy_from_slice(
+                    &s[node.buf as usize][node.off as usize..(node.off + node.len) as usize],
+                );
+            }
+        }
+        Ok(true)
+    }
+
+    fn copy(&mut self, rank: Rank, src: Block, dst: Block) {
+        copy_block(&mut self.m.bufs[rank as usize], src, dst);
+    }
+
+    fn reject(&mut self, err: ExecError) -> ExecError {
+        err
     }
 }
 
-/// Sequential deterministic executor over the zero-copy fast path. See
-/// module docs; the pre-PR allocation behaviour lives in
-/// [`crate::exec_legacy::LegacyDataExecutor`].
+/// Sequential deterministic executor over the zero-copy fast path: the
+/// sequential [`step::drive`] over the scratch mailbox. See module docs.
 pub struct DataExecutor;
 
 impl DataExecutor {
@@ -1068,47 +909,36 @@ impl DataExecutor {
         injector: Option<&dyn FaultInjector>,
     ) -> Result<(ExecStats, FaultStats), ExecError> {
         assert_eq!(
-            scratch.pc.len(),
+            scratch.steppers.len(),
             prep.nranks,
             "scratch was built for a different schedule"
         );
         scratch.reset();
-        for (r, bufs) in scratch.bufs.iter_mut().enumerate() {
+        for (r, bufs) in scratch.mail.bufs.iter_mut().enumerate() {
             if let Some(sbuf) = bufs.first_mut() {
                 fill(r as Rank, sbuf);
             }
         }
-        let mut engine = Engine {
+        let mut port = Port {
             prep,
-            s: scratch,
+            m: &mut scratch.mail,
             injector,
-            stats: ExecStats::default(),
             faults: FaultStats::default(),
         };
-        let driven = engine.drive();
-        let faults = engine.faults;
-        let stats = engine.stats;
-        let res = driven
-            .and_then(|()| engine.finish())
-            .map(|()| (stats, faults));
-        match res {
-            // Name the injection in the error: once faults were actually
-            // applied, a failure is the *expected* loud detection, and the
-            // stats let a test distinguish it from a genuine schedule bug.
-            Err(cause) if faults.any() => Err(ExecError::FaultInjected {
-                dropped: faults.dropped,
-                duplicated: faults.duplicated,
-                corrupted: faults.corrupted,
-                cause: Box::new(cause),
-            }),
-            other => other,
-        }
+        let res = step::drive(&mut scratch.steppers, &prep.progs, &mut port);
+        let faults = port.faults;
+        let res = res.and_then(|stats| match scratch.mail.in_flight {
+            0 => Ok((stats, faults)),
+            count => Err(ExecError::UnconsumedMessages { count }),
+        });
+        res.map_err(|cause| faults.blame(cause))
     }
 }
 
 /// Move the receive buffers out of a one-shot scratch.
 fn take_result(scratch: &mut ExecScratch, stats: ExecStats) -> ExecResult {
     let rbufs = scratch
+        .mail
         .bufs
         .iter_mut()
         .map(|bufs| {
@@ -1519,16 +1349,6 @@ mod tests {
             assert_eq!(scratch.rbuf(0), &[1 + pass; 8][..]);
             assert_eq!(scratch.rbuf(1), &[pass; 8][..]);
         }
-    }
-
-    #[test]
-    fn fast_path_matches_legacy_executor() {
-        let src = swap_schedule();
-        let fast = DataExecutor::run(&src, |r, buf| buf.fill(r as u8 + 1)).unwrap();
-        let legacy =
-            crate::exec_legacy::LegacyDataExecutor::run(&src, |r, buf| buf.fill(r as u8 + 1))
-                .unwrap();
-        assert_eq!(fast, legacy);
     }
 
     #[test]

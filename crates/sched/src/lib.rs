@@ -41,8 +41,8 @@
 pub mod analysis;
 pub mod builder;
 pub mod exec;
-pub mod exec_legacy;
 pub mod ir;
+pub mod step;
 pub mod validate;
 pub mod verify;
 
@@ -51,8 +51,8 @@ pub use exec::{
     DataExecutor, ExecError, ExecScratch, ExecStats, FaultInjector, FaultStats, MessageFault,
     PreparedSchedule,
 };
-pub use exec_legacy::LegacyDataExecutor;
 pub use ir::{Block, BufId, Bytes, Op, Phase, RankProgram, TimedOp, RBUF, SBUF, TMP0, TMP1, TMP2};
+pub use step::{Progress, RankStepper, Transport};
 pub use validate::{validate, Matched, ScheduleStats, ValidationError};
 pub use verify::{
     check_allgather_rbuf, check_alltoall_rbuf, fill_allgather_sbuf, fill_alltoall_sbuf,

@@ -17,6 +17,9 @@
 //!   copies, sequentialized exchanges, ...), each tied to the lint code the
 //!   analyzer must report.
 //!
+//! And the data executor's reference transport, [`LegacyDataExecutor`]:
+//! the shared rank stepper over owned per-message payloads.
+//!
 //! Reproduction knobs (environment variables):
 //!
 //! * `A2A_TEST_SEED`  — base seed for every suite (decimal or `0x…` hex);
@@ -26,9 +29,11 @@
 mod rng;
 mod runner;
 
+pub mod exec_legacy;
 pub mod fixture;
 pub mod mutate;
 
+pub use exec_legacy::LegacyDataExecutor;
 pub use fixture::FixedSchedule;
 pub use mutate::Mutation;
 pub use rng::Rng;

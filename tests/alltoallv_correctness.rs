@@ -4,13 +4,11 @@
 
 use std::sync::Arc;
 
-use a2a_testutil::run_cases;
+use a2a_testutil::{run_cases, LegacyDataExecutor};
 use alltoall_suite::algos::alltoallv::*;
 use alltoall_suite::netsim::{models, simulate, SimOptions};
 use alltoall_suite::runtime::ParallelExecutor;
-use alltoall_suite::sched::{
-    validate, DataExecutor, ExecScratch, LegacyDataExecutor, PreparedSchedule,
-};
+use alltoall_suite::sched::{validate, DataExecutor, ExecScratch, PreparedSchedule};
 use alltoall_suite::topo::{Machine, ProcGrid, Rank};
 
 fn grid(nodes: usize, ppn_cores: usize) -> ProcGrid {

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use a2a_testutil::{FixedSchedule, Mutation, Rng};
+use a2a_testutil::{FixedSchedule, LegacyDataExecutor, Mutation, Rng};
 use alltoall_suite::algos::alltoallv::{
     fill_alltoallv_sbuf, AlltoallvAlgorithm, CountsFn, NodeAwareAlltoallv, NonblockingAlltoallv,
     PairwiseAlltoallv, VContext, VSchedule,
@@ -23,7 +23,7 @@ use alltoall_suite::faults::{FaultPlan, FaultSpec};
 use alltoall_suite::runtime::{ParallelExecutor, ThreadWorld};
 use alltoall_suite::sched::exec::ExecResult;
 use alltoall_suite::sched::{
-    fill_alltoall_sbuf, DataExecutor, ExecError, FaultStats, LegacyDataExecutor, ScheduleSource,
+    fill_alltoall_sbuf, DataExecutor, ExecError, FaultStats, ScheduleSource,
 };
 use alltoall_suite::topo::{Machine, ProcGrid, Rank};
 

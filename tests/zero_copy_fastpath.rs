@@ -5,6 +5,7 @@
 //! buffers (arena slots, pooled fabric buffers) must never leak stale
 //! bytes between runs or messages.
 
+use a2a_testutil::LegacyDataExecutor;
 use alltoall_suite::algos::{
     A2AContext, AlgoSchedule, AlltoallAlgorithm, BruckAlltoall, ExchangeKind, HierarchicalAlltoall,
     MpichShmAlltoall, MultileaderNodeAwareAlltoall, NodeAwareAlltoall, NonblockingAlltoall,
@@ -12,8 +13,7 @@ use alltoall_suite::algos::{
 };
 use alltoall_suite::runtime::{ParallelExecutor, ThreadWorld};
 use alltoall_suite::sched::{
-    check_alltoall_rbuf, fill_alltoall_sbuf, DataExecutor, ExecScratch, LegacyDataExecutor,
-    PreparedSchedule,
+    check_alltoall_rbuf, fill_alltoall_sbuf, DataExecutor, ExecScratch, PreparedSchedule,
 };
 use alltoall_suite::topo::{Machine, ProcGrid};
 
