@@ -135,13 +135,15 @@ struct Channel {
 #[derive(Default)]
 struct MailState {
     chans: HashMap<Key, Channel>,
-    /// The thread driving this rank's schedule, unparked by every send.
-    driver: Option<Thread>,
 }
 
 struct Mailbox {
     state: Mutex<MailState>,
     arrived: Condvar,
+    /// The thread driving this rank's schedule, unparked by every send and
+    /// by an abort. A lock of its own, so an abort raised while a mailbox
+    /// is held (a cancellation seen inside [`Fabric::recv`]) can take it.
+    driver: Mutex<Option<Thread>>,
 }
 
 struct BarrierState {
@@ -219,6 +221,7 @@ impl Fabric {
                 .map(|_| Mailbox {
                     state: Mutex::new(MailState::default()),
                     arrived: Condvar::new(),
+                    driver: Mutex::new(None),
                 })
                 .collect(),
             n,
@@ -261,8 +264,12 @@ impl Fabric {
         self.aborted.store(true, Ordering::SeqCst);
         // Waiters use bounded wait slices, so a lockless notify cannot
         // strand anyone: a missed wakeup is re-checked within one slice.
+        // A parked driver keeps the unpark token if it is not parked yet.
         for b in &self.boxes {
             b.arrived.notify_all();
+            if let Some(driver) = &*lock_recover(&b.driver) {
+                driver.unpark();
+            }
         }
         self.barrier_cv.notify_all();
         winner
@@ -296,6 +303,11 @@ impl Fabric {
         lock_recover(&self.blocked).remove(&rank);
     }
 
+    #[cfg(test)]
+    pub(crate) fn is_blocked(&self, rank: u32) -> bool {
+        lock_recover(&self.blocked).contains_key(&rank)
+    }
+
     /// Snapshot every blocked rank and abort with `WatchdogTimeout`.
     pub(crate) fn fire_watchdog(&self) -> RuntimeError {
         let mut blocked: Vec<BlockedOp> = lock_recover(&self.blocked).values().copied().collect();
@@ -315,7 +327,7 @@ impl Fabric {
     /// Make the calling thread `rank`'s driver: every later send to `rank`
     /// unparks it.
     pub(crate) fn set_driver(&self, rank: u32) {
-        lock_recover(&self.boxes[rank as usize].state).driver = Some(std::thread::current());
+        *lock_recover(&self.boxes[rank as usize].driver) = Some(std::thread::current());
     }
 
     /// Pull a recycled buffer (or allocate) and fill it with `data`. The
@@ -366,7 +378,7 @@ impl Fabric {
         }
         let payload = self.acquire_buf(data);
         let mbox = &self.boxes[to as usize];
-        let driver = {
+        {
             let mut st = lock_recover(&mbox.state);
             let chan = st.chans.entry((from, tag)).or_default();
             let seq = chan.next_seq;
@@ -377,11 +389,10 @@ impl Fabric {
                 None => MessageFault::clean(),
             };
             Self::enqueue_views(chan, seq, fault);
-            st.driver.clone()
-        };
+        }
         self.bump_progress();
         mbox.arrived.notify_all();
-        if let Some(driver) = driver {
+        if let Some(driver) = &*lock_recover(&mbox.driver) {
             driver.unpark();
         }
         Ok(())

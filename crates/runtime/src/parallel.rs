@@ -131,8 +131,13 @@ impl Transport for FabricPort<'_> {
     }
 
     fn reject(&mut self, err: ExecError) -> RuntimeError {
-        panic!("{err}")
+        reject(err)
     }
+}
+
+/// A schedule error on a fabric driver panics the rank with its message.
+fn reject(err: ExecError) -> ! {
+    panic!("{err}")
 }
 
 /// Drive `ctxs` until all have finished, the world aborts, or the
@@ -178,9 +183,16 @@ pub(crate) fn drive(fabric: &Fabric, ctxs: &mut [RankCtx<'_>]) -> Result<(), Run
         if progressed {
             continue;
         }
-        // A full pass moved nothing: publish each blocked state for the
-        // watchdog, then park until a send to one of these ranks.
+        // A full pass moved nothing: reject a wait no op can satisfy,
+        // publish each blocked state for the watchdog, then park until a
+        // send to one of these ranks.
         for ctx in ctxs.iter_mut().filter(|c| !c.finished && !c.registered) {
+            if let Some(req) = ctx.stepper.unposted(&ctx.prog) {
+                reject(ExecError::UnknownRequest {
+                    rank: ctx.rank,
+                    req,
+                });
+            }
             if let Some((peer, tag)) = ctx.stepper.blocked_on(&ctx.prog) {
                 fabric.register_blocked(BlockedOp {
                     rank: ctx.rank,
@@ -413,6 +425,160 @@ mod tests {
         assert_eq!(err, RuntimeError::Cancelled);
         assert!(err.class() == crate::ErrorClass::Permanent);
         canceller.join().unwrap();
+    }
+
+    /// A never-completing two-rank schedule: `rank0` is rank 0's program,
+    /// rank 1 does nothing.
+    struct OneSided(RankProgram);
+
+    impl ScheduleSource for OneSided {
+        fn nranks(&self) -> usize {
+            2
+        }
+        fn buffers(&self, _r: Rank) -> Vec<Bytes> {
+            vec![8, 8]
+        }
+        fn rank_program(&self, r: Rank) -> Cow<'_, RankProgram> {
+            match r {
+                0 => Cow::Borrowed(&self.0),
+                _ => Cow::Owned(RankProgram::default()),
+            }
+        }
+        fn phase_names(&self) -> Vec<&'static str> {
+            vec!["all"]
+        }
+    }
+
+    fn recv_from_1(wait: bool) -> RankProgram {
+        use a2a_sched::{Phase, ProgBuilder, RBUF};
+        let mut b = ProgBuilder::new(Phase(0));
+        let req = b.irecv(1, Block::new(RBUF, 0, 8), 3);
+        if wait {
+            b.wait(req);
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn port_refuses_a_channel_that_came_up_empty_this_step() {
+        let fabric = Fabric::new(2);
+        let mut bufs = vec![vec![0u8; 4], vec![0u8; 4]];
+        let mut stalled = Vec::new();
+        let block = Block::new(a2a_sched::RBUF, 0, 4);
+        let mut port = FabricPort {
+            fabric: &fabric,
+            bufs: &mut bufs,
+            stalled: &mut stalled,
+        };
+        assert_eq!(port.recv(1, 0, 7, block), Ok(false));
+        fabric.send(0, 1, 7, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(
+            port.recv(1, 0, 7, block),
+            Ok(false),
+            "a mid-step arrival belongs to the receive that missed it"
+        );
+        stalled.clear();
+        let mut port = FabricPort {
+            fabric: &fabric,
+            bufs: &mut bufs,
+            stalled: &mut stalled,
+        };
+        assert_eq!(port.recv(1, 0, 7, block), Ok(true));
+        assert_eq!(bufs[1], [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn a_wait_on_an_unposted_request_panics_at_once() {
+        let mut prog = recv_from_1(true);
+        prog.ops.swap(0, 1);
+        let opts = WorldOptions::default().with_watchdog(Duration::from_secs(30));
+        let fabric = Fabric::with_options(2, opts);
+        let mut ctx = RankCtx::new(0, Cow::Owned(prog), &[8, 8]);
+        let start = std::time::Instant::now();
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            drive(&fabric, std::slice::from_mut(&mut ctx))
+        }))
+        .unwrap_err();
+        assert!(start.elapsed() < Duration::from_secs(1));
+        let msg = payload.downcast_ref::<String>().unwrap();
+        assert_eq!(msg, "rank 0: wait on unknown request 0");
+    }
+
+    #[test]
+    fn watchdog_names_a_finished_rank_left_with_a_receive() {
+        let opts = WorldOptions::default().with_watchdog(Duration::from_millis(80));
+        let err = ParallelExecutor::run_with(&OneSided(recv_from_1(false)), opts, 2, |_, _| {})
+            .unwrap_err();
+        match err {
+            RuntimeError::WatchdogTimeout { blocked, .. } => {
+                assert_eq!(blocked.len(), 1);
+                assert_eq!(blocked[0].rank, 0);
+                assert_eq!(blocked[0].op_index, Some(1));
+                assert_eq!(blocked[0].kind, BlockedKind::Recv { peer: 1, tag: 3 });
+            }
+            other => panic!("expected WatchdogTimeout, got {other}"),
+        }
+    }
+
+    #[test]
+    fn abort_wakes_a_parked_driver_within_the_slice() {
+        // Watchdog 8 s, so one wait slice is 1 s: the driver must see a
+        // peer's abort long before its park times out.
+        let opts = WorldOptions::default().with_watchdog(Duration::from_secs(8));
+        let fabric = Fabric::with_options(2, opts);
+        let prog = recv_from_1(true);
+        std::thread::scope(|s| {
+            let parked = s.spawn(|| {
+                let mut ctx = RankCtx::new(0, Cow::Borrowed(&prog), &[8, 8]);
+                let res = drive(&fabric, std::slice::from_mut(&mut ctx));
+                (res, std::time::Instant::now())
+            });
+            // The driver registers its blocked rank just before it parks.
+            while !fabric.is_blocked(0) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            let aborted = std::time::Instant::now();
+            fabric.abort(RuntimeError::RankPanicked { rank: 1 });
+            let (res, returned) = parked.join().unwrap();
+            assert_eq!(res, Err(RuntimeError::RankPanicked { rank: 1 }));
+            let took = returned.duration_since(aborted);
+            assert!(took < Duration::from_millis(200), "took {took:?}");
+        });
+    }
+
+    #[test]
+    fn drivers_wake_on_every_arrival() {
+        // Watchdog 8 s, so one wait slice is 1 s: a driver that sleeps
+        // through an arrival shows up as a run of a second or more.
+        use a2a_core::BruckAlltoall;
+        let grid = ProcGrid::new(Machine::custom("stall", 2, 2, 1, 2));
+        let n = grid.world_size();
+        let opts = WorldOptions::default().with_watchdog(Duration::from_secs(8));
+        for algo in [
+            &PairwiseAlltoall as &dyn a2a_core::AlltoallAlgorithm,
+            &BruckAlltoall,
+        ] {
+            let src = AlgoSchedule::new(algo, A2AContext::new(grid.clone(), 64));
+            for workers in [2, 3, 8] {
+                for run in 0..10 {
+                    let start = std::time::Instant::now();
+                    let out = ParallelExecutor::run_with(&src, opts.clone(), workers, |r, buf| {
+                        fill_alltoall_sbuf(r, n, 64, buf)
+                    })
+                    .unwrap();
+                    let took = start.elapsed();
+                    assert!(
+                        took < Duration::from_millis(200),
+                        "{} workers={workers} run {run}: {took:?}",
+                        algo.name()
+                    );
+                    for r in 0..n as u32 {
+                        check_alltoall_rbuf(r, n, 64, &out.rbufs[r as usize]).unwrap();
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -208,15 +208,30 @@ impl RankStepper {
     }
 
     /// What the rank is blocked on: `(from, tag)` of the first *unmatched*
-    /// receive of the `WaitAll` at its program counter.
+    /// receive of the `WaitAll` at its program counter or, once the program
+    /// has ended, of the first receive it never waited on.
     pub fn blocked_on(&self, prog: &RankProgram) -> Option<(Rank, u32)> {
+        let first = match prog.ops.get(self.pc).map(|top| top.op) {
+            None => self.posted.front(),
+            Some(Op::WaitAll { first_req, count }) => (first_req..first_req + count)
+                .find_map(|req| self.posted.iter().find(|p| p.req == req)),
+            Some(_) => None,
+        };
+        first.map(|p| (p.from, p.tag))
+    }
+
+    /// A request the `WaitAll` at the program counter names that is neither
+    /// complete nor posted: no op can complete it any more. The sequential
+    /// driver reports such a rank as deadlocked; a concurrent driver, which
+    /// cannot see a deadlock, rejects it.
+    pub fn unposted(&self, prog: &RankProgram) -> Option<u32> {
         let Op::WaitAll { first_req, count } = prog.ops.get(self.pc)?.op else {
             return None;
         };
-        (first_req..first_req + count)
-            .filter(|&req| self.complete.get(req as usize) == Some(&false))
-            .find_map(|req| self.posted.iter().find(|p| p.req == req))
-            .map(|p| (p.from, p.tag))
+        (first_req..first_req + count).find(|&req| {
+            self.complete.get(req as usize) == Some(&false)
+                && !self.posted.iter().any(|p| p.req == req)
+        })
     }
 }
 
@@ -305,5 +320,160 @@ pub(crate) fn split_two<T>(v: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) 
     } else {
         let (lo, hi) = v.split_at_mut(a);
         (&mut hi[0], &mut lo[b])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::ProgBuilder;
+    use crate::ir::{Phase, RBUF, SBUF};
+    use std::collections::HashMap;
+
+    /// A plain mailbox transport: owned payloads per `(from, to, tag)`.
+    struct Mem {
+        bufs: Vec<Vec<Vec<u8>>>,
+        mail: HashMap<(Rank, Rank, u32), VecDeque<Vec<u8>>>,
+    }
+
+    impl Mem {
+        fn new(nranks: usize) -> Self {
+            Mem {
+                bufs: (0..nranks)
+                    .map(|r| vec![vec![r as u8; 8], vec![0; 8]])
+                    .collect(),
+                mail: HashMap::new(),
+            }
+        }
+    }
+
+    impl Transport for Mem {
+        type Error = ExecError;
+        fn buffer_len(&self, rank: Rank, buf: u8) -> Option<Bytes> {
+            self.bufs[rank as usize]
+                .get(buf as usize)
+                .map(|b| b.len() as Bytes)
+        }
+        fn send(
+            &mut self,
+            rank: Rank,
+            _: usize,
+            to: Rank,
+            tag: u32,
+            b: Block,
+        ) -> Result<(), ExecError> {
+            let data = self.bufs[rank as usize][b.buf.0 as usize][b.off as usize..b.end() as usize]
+                .to_vec();
+            self.mail
+                .entry((rank, to, tag))
+                .or_default()
+                .push_back(data);
+            Ok(())
+        }
+        fn recv(&mut self, rank: Rank, from: Rank, tag: u32, b: Block) -> Result<bool, ExecError> {
+            let Some(data) = self
+                .mail
+                .get_mut(&(from, rank, tag))
+                .and_then(|q| q.pop_front())
+            else {
+                return Ok(false);
+            };
+            self.bufs[rank as usize][b.buf.0 as usize][b.off as usize..b.end() as usize]
+                .copy_from_slice(&data);
+            Ok(true)
+        }
+        fn copy(&mut self, rank: Rank, src: Block, dst: Block) {
+            copy_block(&mut self.bufs[rank as usize], src, dst);
+        }
+        fn reject(&mut self, err: ExecError) -> ExecError {
+            err
+        }
+    }
+
+    fn run(progs: &[RankProgram]) -> Result<ExecStats, ExecError> {
+        let mut steppers: Vec<RankStepper> = progs.iter().map(RankStepper::new).collect();
+        drive(&mut steppers, progs, &mut Mem::new(progs.len()))
+    }
+
+    fn blk(buf: crate::ir::BufId, off: Bytes) -> Block {
+        Block::new(buf, off, 4)
+    }
+
+    #[test]
+    fn a_request_covered_by_two_waits_completes_at_the_first() {
+        let mut r0 = ProgBuilder::new(Phase(0));
+        let req = r0.irecv(1, blk(RBUF, 0), 0);
+        r0.wait(req);
+        r0.wait(req);
+        let mut r1 = ProgBuilder::new(Phase(0));
+        r1.send(0, blk(SBUF, 0), 0);
+        let stats = run(&[r0.finish(), r1.finish()]).unwrap();
+        assert_eq!(stats.messages, 1);
+    }
+
+    #[test]
+    fn deadlock_reports_each_blocked_ranks_wait_pc() {
+        // Both ranks wait for a message the other never sends; rank 0's
+        // wait sits behind a copy, so the two pcs differ.
+        let mut r0 = ProgBuilder::new(Phase(0));
+        r0.copy(blk(SBUF, 0), blk(RBUF, 4));
+        r0.recv(1, blk(RBUF, 0), 0);
+        let mut r1 = ProgBuilder::new(Phase(0));
+        r1.recv(0, blk(RBUF, 0), 0);
+        let err = run(&[r0.finish(), r1.finish()]).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::Deadlock {
+                blocked: vec![(0, 2), (1, 1)]
+            }
+        );
+    }
+
+    #[test]
+    fn a_finished_rank_drains_a_receive_it_never_waited_on() {
+        // Rank 1 posts a receive and runs off the end of its program; the
+        // message arrives only after rank 0 is released by rank 2.
+        let mut r0 = ProgBuilder::new(Phase(0));
+        r0.recv(2, blk(RBUF, 0), 0);
+        r0.isend(1, blk(SBUF, 0), 0);
+        let mut r1 = ProgBuilder::new(Phase(0));
+        r1.irecv(0, blk(RBUF, 0), 0);
+        let mut r2 = ProgBuilder::new(Phase(0));
+        r2.isend(0, blk(SBUF, 0), 0);
+        let stats = run(&[r0.finish(), r1.finish(), r2.finish()]).unwrap();
+        assert_eq!(stats.messages, 2);
+    }
+
+    #[test]
+    fn blocked_on_names_the_first_unmatched_receive() {
+        // Rank 0 posts a receive it does not wait on here, then waits on
+        // two more, of which the first has already arrived.
+        let mut b = ProgBuilder::new(Phase(0));
+        b.irecv(3, blk(SBUF, 4), 7);
+        let first = b.irecv(1, blk(RBUF, 0), 5);
+        b.irecv(2, blk(RBUF, 4), 6);
+        b.waitall(first, 2);
+        let prog = b.finish();
+        let mut mem = Mem::new(4);
+        mem.mail.entry((1, 0, 5)).or_default().push_back(vec![9; 4]);
+        let mut st = RankStepper::new(&prog);
+        assert_eq!(st.step(0, &prog, &mut mem), Ok(Progress::Advanced));
+        assert_eq!(st.pc(), 3);
+        assert_eq!(st.blocked_on(&prog), Some((2, 6)));
+        assert_eq!(st.unposted(&prog), None);
+        assert_eq!(st.step(0, &prog, &mut mem), Ok(Progress::Blocked));
+    }
+
+    #[test]
+    fn a_wait_before_its_receive_is_posted_names_the_request() {
+        let mut b = ProgBuilder::new(Phase(0));
+        let req = b.irecv(1, blk(RBUF, 0), 0);
+        b.wait(req);
+        let mut prog = b.finish();
+        prog.ops.swap(0, 1);
+        let mut st = RankStepper::new(&prog);
+        assert_eq!(st.step(0, &prog, &mut Mem::new(2)), Ok(Progress::Blocked));
+        assert_eq!(st.blocked_on(&prog), None);
+        assert_eq!(st.unposted(&prog), Some(req));
     }
 }
