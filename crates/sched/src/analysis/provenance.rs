@@ -14,6 +14,13 @@
 //! an n-rank schedule stays O(segments) regardless of byte counts — block
 //! sizes of 4 B and 4 MiB prove in identical time.
 //!
+//! Every per-op lookup is a binary search over a sorted structure: a copy,
+//! send or delivery touching `k` of a buffer's `s` segments costs
+//! O(log s + k) plus one splice, and the same holds for the spec rows the
+//! clobber check consults and the liveness sets of the backward pass
+//! (vectors indexed by `[rank][buf]` and `[rank][op]`). `SegMap` is the one
+//! provenance representation; there is no block-granular fast path.
+//!
 //! Four defect classes come out of one symbolic run:
 //!
 //! * **wrong-source byte** — a destination interval is written, but with
@@ -36,7 +43,7 @@
 //! lint's department: the walk stops early ([`ProveReport::stuck`]) and
 //! whatever bytes never arrived are reported missing.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use a2a_topo::Rank;
 
@@ -94,23 +101,25 @@ impl SemanticsSpec {
     /// out by destination in send buffers and by source in receive buffers
     /// (the `MPI_Alltoallv` contract). Zero-count pairs expect nothing.
     pub fn alltoallv(n: usize, counts: &dyn Fn(Rank, Rank) -> Bytes) -> Self {
-        let n = n as Rank;
-        let expected = (0..n)
+        // `src_off[i]`: where source `i`'s block for the current
+        // destination starts, a running prefix over destinations.
+        let mut src_off: Vec<Bytes> = vec![0; n];
+        let expected = (0..n as Rank)
             .map(|r| {
                 let mut dst_off = 0;
                 let mut segs = Vec::new();
-                for i in 0..n {
+                for (i, src_off) in (0..n as Rank).zip(&mut src_off) {
                     let len = counts(i, r);
                     if len > 0 {
-                        let src_off = (0..r).map(|j| counts(i, j)).sum();
                         segs.push(ExpectSeg {
                             dst_off,
                             len,
                             src: i,
-                            src_off,
+                            src_off: *src_off,
                         });
                     }
                     dst_off += len;
+                    *src_off += len;
                 }
                 segs
             })
@@ -235,68 +244,54 @@ struct RelSeg {
 }
 
 impl SegMap {
-    /// Remove `[start, end)` from the map, splitting boundary segments.
-    fn carve(&mut self, start: Bytes, end: Bytes) {
-        if start >= end {
-            return;
-        }
-        let mut out = Vec::with_capacity(self.segs.len() + 2);
-        for s in self.segs.drain(..) {
-            if s.end() <= start || s.start >= end {
-                out.push(s);
-                continue;
-            }
-            if s.start < start {
-                out.push(Seg {
-                    start: s.start,
-                    len: start - s.start,
-                    prov: s.prov,
-                    writer: s.writer,
-                });
-            }
-            if s.end() > end {
-                out.push(Seg {
-                    start: end,
-                    len: s.end() - end,
-                    prov: s.prov_at(end),
-                    writer: s.writer,
-                });
-            }
-        }
-        self.segs = out;
+    /// Index range of the segments overlapping `[start, end)`: sorted
+    /// disjoint segments have sorted ends, so both bounds are binary searches.
+    fn span(&self, start: Bytes, end: Bytes) -> Range<usize> {
+        let lo = self.segs.partition_point(|s| s.end() <= start);
+        lo..lo + self.segs[lo..].partition_point(|s| s.start < end)
     }
 
-    /// Overwrite `[block.off, block.end())` with `content` (relative runs
-    /// covering exactly `[0, block.len)`), attributed to `writer`.
+    /// Overwrite `[block.off, block.end())` with `content` (sorted nonempty
+    /// relative runs covering exactly `[0, block.len)`, as [`SegMap::read`]
+    /// returns them), attributed to `writer`: the overlapped span becomes
+    /// its clipped boundary pieces around the new runs, in one splice.
     fn write(&mut self, block: Block, content: &[RelSeg], writer: usize) {
         if block.len == 0 {
             return;
         }
-        self.carve(block.off, block.end());
-        for c in content {
-            if c.len == 0 {
-                continue;
-            }
-            self.segs.push(Seg {
-                start: block.off + c.rel,
-                len: c.len,
-                prov: c.prov,
-                writer,
+        let (start, end) = (block.off, block.end());
+        let span = self.span(start, end);
+        let (mut head, mut tail) = (None, None);
+        if !span.is_empty() {
+            let (first, last) = (self.segs[span.start], self.segs[span.end - 1]);
+            head = (first.start < start).then(|| Seg {
+                len: start - first.start,
+                ..first
+            });
+            tail = (last.end() > end).then(|| Seg {
+                start: end,
+                len: last.end() - end,
+                prov: last.prov_at(end),
+                ..last
             });
         }
-        self.segs.sort_by_key(|s| s.start);
+        let runs = content.iter().map(|c| Seg {
+            start: start + c.rel,
+            len: c.len,
+            prov: c.prov,
+            writer,
+        });
+        self.segs
+            .splice(span, head.into_iter().chain(runs).chain(tail));
     }
 
-    /// Snapshot `[block.off, block.end())` as relative runs; gaps come back
-    /// as undefined runs, so the result always covers `[0, block.len)`.
-    fn read(&self, block: Block) -> Vec<RelSeg> {
-        let mut out = Vec::new();
+    /// Append a snapshot of `[block.off, block.end())` to `out` as relative
+    /// runs; gaps come back as undefined runs, so the appended runs always
+    /// cover `[0, block.len)`.
+    fn read(&self, block: Block, out: &mut Vec<RelSeg>) {
         let (start, end) = (block.off, block.end());
         let mut cursor = start;
-        for s in &self.segs {
-            if s.end() <= start || s.start >= end {
-                continue;
-            }
+        for s in &self.segs[self.span(start, end)] {
             let a = s.start.max(cursor);
             let b = s.end().min(end);
             if a > cursor {
@@ -322,25 +317,20 @@ impl SegMap {
                 prov: None,
             });
         }
-        out
     }
 
     /// Segments overlapping `[start, end)`, clipped, with their writers.
-    fn overlapping(&self, start: Bytes, end: Bytes) -> Vec<Seg> {
-        self.segs
-            .iter()
-            .filter(|s| s.start < end && s.end() > start)
-            .map(|s| {
-                let a = s.start.max(start);
-                let b = s.end().min(end);
-                Seg {
-                    start: a,
-                    len: b - a,
-                    prov: s.prov_at(a),
-                    writer: s.writer,
-                }
-            })
-            .collect()
+    fn overlapping(&self, start: Bytes, end: Bytes) -> impl Iterator<Item = Seg> + '_ {
+        self.segs[self.span(start, end)].iter().map(move |s| {
+            let a = s.start.max(start);
+            let b = s.end().min(end);
+            Seg {
+                start: a,
+                len: b - a,
+                prov: s.prov_at(a),
+                writer: s.writer,
+            }
+        })
     }
 }
 
@@ -432,43 +422,41 @@ struct IntervalSet {
 }
 
 impl IntervalSet {
+    /// Add `[start, end)`, merging the run of intervals it overlaps or touches
+    /// (sorted disjoint intervals have sorted ends: two binary searches).
     fn add(&mut self, start: Bytes, end: Bytes) {
         if start >= end {
             return;
         }
-        self.iv.push((start, end));
-        self.iv.sort_unstable();
-        let mut merged: Vec<(Bytes, Bytes)> = Vec::with_capacity(self.iv.len());
-        for &(a, b) in &self.iv {
-            match merged.last_mut() {
-                Some(last) if a <= last.1 => last.1 = last.1.max(b),
-                _ => merged.push((a, b)),
-            }
-        }
-        self.iv = merged;
+        let lo = self.iv.partition_point(|&(_, b)| b < start);
+        let span = lo..lo + self.iv[lo..].partition_point(|&(a, _)| a <= end);
+        let merged = if span.is_empty() {
+            (start, end)
+        } else {
+            (
+                self.iv[span.start].0.min(start),
+                self.iv[span.end - 1].1.max(end),
+            )
+        };
+        self.iv.splice(span, [merged]);
     }
 
     /// Intersect with `[start, end)` and *remove* the intersection,
-    /// returning it.
-    fn take(&mut self, start: Bytes, end: Bytes) -> Vec<(Bytes, Bytes)> {
-        let mut taken = Vec::new();
-        let mut keep = Vec::with_capacity(self.iv.len());
-        for &(a, b) in &self.iv {
-            if b <= start || a >= end {
-                keep.push((a, b));
-                continue;
-            }
-            let (ia, ib) = (a.max(start), b.min(end));
-            taken.push((ia, ib));
-            if a < ia {
-                keep.push((a, ia));
-            }
-            if ib < b {
-                keep.push((ib, b));
-            }
+    /// appending it to `out`.
+    fn take(&mut self, start: Bytes, end: Bytes, out: &mut Vec<(Bytes, Bytes)>) {
+        let lo = self.iv.partition_point(|&(_, b)| b <= start);
+        let span = lo..lo + self.iv[lo..].partition_point(|&(a, _)| a < end);
+        let (mut head, mut tail) = (None, None);
+        if !span.is_empty() {
+            let (first, last) = (self.iv[span.start], self.iv[span.end - 1]);
+            head = (first.0 < start).then_some((first.0, start));
+            tail = (last.1 > end).then_some((end, last.1));
         }
-        self.iv = keep;
-        taken
+        out.extend(
+            self.iv
+                .splice(span, head.into_iter().chain(tail))
+                .map(|(a, b)| (a.max(start), b.min(end))),
+        );
     }
 }
 
@@ -506,17 +494,25 @@ pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
                 .collect()
         })
         .collect();
-    // `[rank][op]` — a send's payload, snapshotted when the walk visits it.
-    let mut payloads: Vec<Vec<Vec<RelSeg>>> = (0..n as Rank)
-        .map(|r| vec![Vec::new(); m.prog(r).ops.len()])
+    // A send's payload, snapshotted when the walk visits it, is the runs
+    // `arena[payloads[rank][op]]`. `runs` is scratch: one copy's content,
+    // later one expected interval's final state.
+    let mut arena: Vec<RelSeg> = Vec::new();
+    let mut payloads: Vec<Vec<Range<usize>>> = (0..n as Rank)
+        .map(|r| vec![0..0; m.prog(r).ops.len()])
         .collect();
-    let mut events: Vec<Event> = Vec::new();
+    let mut runs: Vec<RelSeg> = Vec::new();
+    // At most one event per op.
+    let mut events: Vec<Event> =
+        Vec::with_capacity((0..n as Rank).map(|r| m.prog(r).ops.len()).sum());
 
     let finished = m.walk(|rank, op| {
         let r = rank as usize;
         match m.prog(rank).ops[op].op {
             Op::Isend { to, block, tag, .. } => {
-                payloads[r][op] = maps[r][block.buf.0 as usize].read(block);
+                let at = arena.len();
+                maps[r][block.buf.0 as usize].read(block, &mut arena);
+                payloads[r][op] = at..arena.len();
                 events.push(Event::Post {
                     rank,
                     op,
@@ -527,18 +523,19 @@ pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
             }
             Op::Irecv { .. } => {}
             Op::Copy { src, dst } => {
-                let content = maps[r][src.buf.0 as usize].read(src);
+                runs.clear();
+                maps[r][src.buf.0 as usize].read(src, &mut runs);
                 clobber_check(
                     &maps[r][dst.buf.0 as usize],
                     dst,
-                    &content,
+                    &runs,
                     rank,
                     op,
                     "copy",
                     &spec.expected[r],
                     &mut report.findings,
                 );
-                maps[r][dst.buf.0 as usize].write(dst, &content, op);
+                maps[r][dst.buf.0 as usize].write(dst, &runs, op);
                 events.push(Event::Copy { rank, op, src, dst });
             }
             Op::WaitAll { .. } => {
@@ -547,7 +544,7 @@ pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
                         unreachable!("arrivals are receives");
                     };
                     report.messages += 1;
-                    let payload = &payloads[send.0 as usize][send.1];
+                    let payload = &arena[payloads[send.0 as usize][send.1].clone()];
                     clobber_check(
                         &maps[r][block.buf.0 as usize],
                         block,
@@ -567,22 +564,16 @@ pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
     report.stuck = !finished;
 
     // Final-state check: A2A007 (wrong source) and A2A008 (missing).
+    // A rank without an RBUF reads it as all undefined.
+    let no_rbuf = SegMap::default();
     for (r, map) in maps.iter().enumerate() {
         let rank = r as Rank;
-        let rbuf = map.get(1);
+        let rbuf = map.get(1).unwrap_or(&no_rbuf);
         for e in &spec.expected[r] {
             report.bytes_checked += e.len;
-            let want = Block::new(crate::ir::RBUF, e.dst_off, e.len);
-            let runs = match rbuf {
-                Some(m) => m.read(want),
-                None => vec![RelSeg {
-                    rel: 0,
-                    len: e.len,
-                    prov: None,
-                }],
-            };
-            // Writers of each run, for anchoring (parallel lookup).
-            for run in runs {
+            runs.clear();
+            rbuf.read(Block::new(crate::ir::RBUF, e.dst_off, e.len), &mut runs);
+            for &run in &runs {
                 let at = e.dst_off + run.rel;
                 match run.prov {
                     None => report.findings.push(ProveFinding {
@@ -602,9 +593,7 @@ pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
                     }),
                     Some(p) if p.aligned(at, e.src, e.src_off, e.dst_off) => {}
                     Some(p) => {
-                        let writer = rbuf
-                            .map(|m| m.overlapping(at, at + run.len))
-                            .and_then(|segs| segs.first().map(|s| s.writer));
+                        let writer = rbuf.overlapping(at, at + run.len).next().map(|s| s.writer);
                         report.findings.push(ProveFinding {
                             issue: ProveIssue::WrongSource,
                             rank,
@@ -631,30 +620,38 @@ pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
         }
     }
 
+    // Payloads are dead past the walk; free them before the liveness tables.
+    drop((arena, payloads));
+
     // Backward liveness: A2A010 (redundant transfers). Seed the needed set
     // with the declared outputs and walk the event list in reverse; a
     // message or copy none of whose bytes are needed moved dead data.
-    let mut needed: HashMap<(Rank, u8), IntervalSet> = HashMap::new();
-    for (r, segs) in spec.expected.iter().enumerate() {
-        let set = needed.entry((r as Rank, 1)).or_default();
+    // `needed[rank][buf]`; RBUF's row exists even on a rank without one.
+    let mut needed: Vec<Vec<IntervalSet>> = (0..n as Rank)
+        .map(|r| vec![IntervalSet::default(); m.buffers(r).len().max(2)])
+        .collect();
+    for (set, segs) in needed.iter_mut().zip(&spec.expected) {
         for e in segs {
-            set.add(e.dst_off, e.dst_off + e.len);
+            set[1].add(e.dst_off, e.dst_off + e.len);
         }
     }
-    let mut msg_need: HashMap<(Rank, usize), Vec<(Bytes, Bytes)>> = HashMap::new();
+    // `live[msg_need[rank][op]]`: the payload-relative bytes of a send that
+    // a later-visited delivery needs. A copy's useful bytes are appended to
+    // `live` and dropped again.
+    let mut live: Vec<(Bytes, Bytes)> = Vec::new();
+    let mut msg_need: Vec<Vec<Range<usize>>> = (0..n as Rank)
+        .map(|r| vec![0..0; m.prog(r).ops.len()])
+        .collect();
     for ev in events.iter().rev() {
+        let at = live.len();
         match *ev {
             Event::Deliver { rank, block, send } => {
-                let useful = needed
-                    .entry((rank, block.buf.0))
-                    .or_default()
-                    .take(block.off, block.end());
+                needed[rank as usize][block.buf.0 as usize].take(block.off, block.end(), &mut live);
                 // Translate to payload-relative intervals for the post.
-                let rel: Vec<(Bytes, Bytes)> = useful
-                    .iter()
-                    .map(|&(a, b)| (a - block.off, b - block.off))
-                    .collect();
-                msg_need.insert(send, rel);
+                for (a, b) in &mut live[at..] {
+                    (*a, *b) = (*a - block.off, *b - block.off);
+                }
+                msg_need[send.0 as usize][send.1] = at..live.len();
             }
             Event::Post {
                 rank,
@@ -663,7 +660,7 @@ pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
                 to,
                 tag,
             } => {
-                let rel = msg_need.remove(&(rank, op)).unwrap_or_default();
+                let rel = &live[msg_need[rank as usize][op].clone()];
                 if rel.is_empty() {
                     report.findings.push(ProveFinding {
                         issue: ProveIssue::RedundantTransfer,
@@ -677,18 +674,15 @@ pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
                         note: None,
                     });
                 } else {
-                    let set = needed.entry((rank, block.buf.0)).or_default();
-                    for (a, b) in rel {
+                    let set = &mut needed[rank as usize][block.buf.0 as usize];
+                    for &(a, b) in rel {
                         set.add(block.off + a, block.off + b);
                     }
                 }
             }
             Event::Copy { rank, op, src, dst } => {
-                let useful = needed
-                    .entry((rank, dst.buf.0))
-                    .or_default()
-                    .take(dst.off, dst.end());
-                if useful.is_empty() {
+                needed[rank as usize][dst.buf.0 as usize].take(dst.off, dst.end(), &mut live);
+                if live.len() == at {
                     report.findings.push(ProveFinding {
                         issue: ProveIssue::RedundantTransfer,
                         rank,
@@ -707,8 +701,8 @@ pub fn prove_schedule(m: &Matched<'_>, spec: &SemanticsSpec) -> ProveReport {
                         note: None,
                     });
                 } else {
-                    let set = needed.entry((rank, src.buf.0)).or_default();
-                    for (a, b) in useful {
+                    let set = &mut needed[rank as usize][src.buf.0 as usize];
+                    for (a, b) in live.drain(at..) {
                         set.add(src.off + (a - dst.off), src.off + (b - dst.off));
                     }
                 }
@@ -737,7 +731,9 @@ fn clobber_check(
     if dst.buf.0 != 1 || dst.len == 0 {
         return;
     }
-    for e in expected {
+    // `expected` is sorted and disjoint: only the run overlapping `dst`.
+    let lo = expected.partition_point(|e| e.dst_off + e.len <= dst.off);
+    for e in expected[lo..].iter().take_while(|e| e.dst_off < dst.end()) {
         let (a, b) = (e.dst_off.max(dst.off), (e.dst_off + e.len).min(dst.end()));
         if a >= b {
             continue;
@@ -748,13 +744,15 @@ fn clobber_check(
                 continue; // old bytes were not correct: plain overwrite
             }
             // Old bytes correct: is any covering new content different?
+            // `content` runs are sorted and disjoint too.
             let mut clobbered: Option<(Bytes, Bytes)> = None;
-            for c in content {
+            let first = content.partition_point(|c| dst.off + c.rel + c.len <= old.start);
+            for c in content[first..]
+                .iter()
+                .take_while(|c| dst.off + c.rel < old.end())
+            {
                 let (ca, cb) = (dst.off + c.rel, dst.off + c.rel + c.len);
                 let (ia, ib) = (ca.max(old.start), cb.min(old.end()));
-                if ia >= ib {
-                    continue;
-                }
                 let same = c
                     .prov
                     .map(|p| {
@@ -800,6 +798,7 @@ mod tests {
     use crate::builder::ProgBuilder;
     use crate::ir::{Phase, RankProgram, RBUF, SBUF};
     use crate::ScheduleSource;
+    use a2a_testutil::{run_cases, Rng};
     use std::borrow::Cow;
 
     struct Fixed {
@@ -1044,6 +1043,42 @@ mod tests {
         // rank 0: recv_off of src 1 is counts(0,0)=4
         assert_eq!(spec.expected[0][1].dst_off, 4);
         assert_eq!(spec.expected[0][1].len, 8);
+
+        // A lumpy 7-rank matrix with zero rows, columns and cells: the
+        // running prefix gives the spec the per-pair sum over `0..dst` does.
+        let lumpy = |s: Rank, d: Rank| -> Bytes {
+            let c = (s as Bytes * 7 + d as Bytes * 3) % 11;
+            if s == 2 || d == 4 || c.is_multiple_of(3) {
+                0
+            } else {
+                c * 4
+            }
+        };
+        let n = 7;
+        let by_sum: Vec<Vec<ExpectSeg>> = (0..n as Rank)
+            .map(|r| {
+                let mut dst_off = 0;
+                let mut segs = Vec::new();
+                for i in 0..n as Rank {
+                    let len = lumpy(i, r);
+                    if len > 0 {
+                        let src_off = (0..r).map(|j| lumpy(i, j)).sum();
+                        segs.push(ExpectSeg {
+                            dst_off,
+                            len,
+                            src: i,
+                            src_off,
+                        });
+                    }
+                    dst_off += len;
+                }
+                segs
+            })
+            .collect();
+        let spec = SemanticsSpec::alltoallv(n, &lumpy);
+        assert!(spec.expected[4].is_empty());
+        assert!(spec.expected.iter().flatten().all(|e| e.src != 2));
+        assert_eq!(spec.expected, by_sum);
     }
 
     #[test]
@@ -1079,11 +1114,244 @@ mod tests {
             }],
             9,
         );
-        let runs = m.read(Block::new(RBUF, 0, 16));
+        let mut runs = Vec::new();
+        m.read(Block::new(RBUF, 0, 16), &mut runs);
         assert_eq!(runs.len(), 3);
         assert_eq!(runs[0].prov, Some(Prov { src: 3, off: 100 }));
         assert_eq!(runs[1].prov, None);
         assert_eq!(runs[2].prov, Some(Prov { src: 3, off: 112 }));
         assert_eq!(runs[2].rel, 12);
+    }
+
+    // ------------------------------------------ search code vs per-byte model
+
+    /// Model byte: `None` is a gap; `Some((prov, writer))` a covered byte
+    /// whose provenance is `(src, off)` or undefined.
+    type ModelByte = Option<(Option<(Rank, Bytes)>, usize)>;
+
+    const MODEL_LEN: Bytes = 48;
+
+    /// One random map operation: a write of `block` with `content`, or a
+    /// probe (`read` and `overlapping`) of `[start, end)`.
+    #[derive(Debug, Clone)]
+    enum MapOp {
+        Write { block: Block, content: Vec<RelSeg> },
+        Probe { start: Bytes, end: Bytes },
+    }
+
+    /// A block inside the model buffer; `inside` is `Some((s, e))` to draw
+    /// it strictly inside `[s, e)` when that has room.
+    fn model_block(rng: &mut Rng, inside: Option<(Bytes, Bytes)>) -> Block {
+        let (lo, hi) = match inside {
+            Some((s, e)) if e - s >= 3 => (s + 1, e - 1),
+            _ => (0, MODEL_LEN),
+        };
+        let off = rng.range_u64(lo, hi);
+        Block::new(RBUF, off, rng.range_u64(1, hi - off + 1))
+    }
+
+    /// Sorted nonempty runs covering `[0, len)`, each defined or not.
+    fn model_content(rng: &mut Rng, len: Bytes) -> Vec<RelSeg> {
+        let mut runs = Vec::new();
+        let mut rel = 0;
+        while rel < len {
+            let run = rng.range_u64(1, len - rel + 1);
+            let prov = (!rng.chance(1, 4)).then(|| Prov {
+                src: rng.range_u64(0, 3) as Rank,
+                off: rng.range_u64(0, 100),
+            });
+            runs.push(RelSeg {
+                rel,
+                len: run,
+                prov,
+            });
+            rel += run;
+        }
+        runs
+    }
+
+    fn byte_prov(prov: Option<Prov>, k: Bytes) -> Option<(Rank, Bytes)> {
+        prov.map(|p| (p.src, p.off + k))
+    }
+
+    /// Apply `ops` to a `SegMap` and to the per-byte model, checking every
+    /// probe and the map's invariant after every op. Returns how many writes
+    /// landed strictly inside one existing segment.
+    fn check_segmap(ops: &[MapOp]) -> Result<usize, String> {
+        let mut map = SegMap::default();
+        let mut model: Vec<ModelByte> = vec![None; MODEL_LEN as usize];
+        let mut splits = 0;
+        for (w, op) in ops.iter().enumerate() {
+            match op {
+                MapOp::Write { block, content } => {
+                    let (s, e) = (block.off, block.end());
+                    splits += map.segs.iter().any(|g| g.start < s && g.end() > e) as usize;
+                    map.write(*block, content, w);
+                    for c in content {
+                        for k in 0..c.len {
+                            model[(s + c.rel + k) as usize] = Some((byte_prov(c.prov, k), w));
+                        }
+                    }
+                }
+                MapOp::Probe { start, end } => {
+                    let mut runs = Vec::new();
+                    map.read(Block::new(RBUF, *start, end - start), &mut runs);
+                    let mut at = *start;
+                    for run in &runs {
+                        if run.len == 0 || *start + run.rel != at {
+                            return Err(format!("read [{start}, {end}): bad runs {runs:?}"));
+                        }
+                        for k in 0..run.len {
+                            let want = model[(at + k) as usize].and_then(|(p, _)| p);
+                            if byte_prov(run.prov, k) != want {
+                                return Err(format!(
+                                    "read byte {}: {run:?}, model {want:?}",
+                                    at + k
+                                ));
+                            }
+                        }
+                        at += run.len;
+                    }
+                    if at != *end {
+                        return Err(format!("read [{start}, {end}) stops at {at}"));
+                    }
+                    let mut seen: Vec<ModelByte> = vec![None; MODEL_LEN as usize];
+                    for g in map.overlapping(*start, *end) {
+                        for k in 0..g.len {
+                            seen[(g.start + k) as usize] = Some((byte_prov(g.prov, k), g.writer));
+                        }
+                    }
+                    if seen[*start as usize..*end as usize] != model[*start as usize..*end as usize]
+                    {
+                        return Err(format!(
+                            "overlapping [{start}, {end}) disagrees with the model"
+                        ));
+                    }
+                }
+            }
+            let sorted = map.segs.windows(2).all(|p| p[0].end() <= p[1].start);
+            if !sorted || map.segs.iter().any(|g| g.len == 0) {
+                return Err(format!(
+                    "after op {w}: segments unsorted or empty: {:?}",
+                    map.segs
+                ));
+            }
+        }
+        Ok(splits)
+    }
+
+    #[test]
+    fn segmap_search_agrees_with_per_byte_model() {
+        let mut splits = 0;
+        run_cases(
+            "segmap_search_agrees_with_per_byte_model",
+            200,
+            |rng| {
+                let mut segs: Vec<(Bytes, Bytes)> = Vec::new();
+                (0..rng.range_usize(1, 24))
+                    .map(|_| {
+                        if rng.chance(1, 3) {
+                            let b = model_block(rng, None);
+                            return MapOp::Probe {
+                                start: b.off,
+                                end: b.end(),
+                            };
+                        }
+                        // Half the writes aim strictly inside an earlier one.
+                        let inside =
+                            (!segs.is_empty() && rng.chance(1, 2)).then(|| *rng.pick(&segs));
+                        let block = model_block(rng, inside);
+                        segs.push((block.off, block.end()));
+                        let content = model_content(rng, block.len);
+                        MapOp::Write { block, content }
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |ops| check_segmap(ops).map(|n| splits += n),
+        );
+        assert!(splits > 0, "no write split a segment in two");
+    }
+
+    #[test]
+    fn one_write_inside_one_segment_splits_it() {
+        let whole = [RelSeg {
+            rel: 0,
+            len: 40,
+            prov: Some(Prov { src: 1, off: 0 }),
+        }];
+        let ops = [
+            MapOp::Write {
+                block: Block::new(RBUF, 4, 40),
+                content: whole.to_vec(),
+            },
+            MapOp::Write {
+                block: Block::new(RBUF, 10, 6),
+                content: vec![RelSeg {
+                    rel: 0,
+                    len: 6,
+                    prov: None,
+                }],
+            },
+            MapOp::Probe {
+                start: 0,
+                end: MODEL_LEN,
+            },
+        ];
+        assert_eq!(check_segmap(&ops), Ok(1));
+    }
+
+    #[test]
+    fn interval_set_agrees_with_per_byte_model() {
+        run_cases(
+            "interval_set_agrees_with_per_byte_model",
+            200,
+            |rng| {
+                (0..rng.range_usize(1, 32))
+                    .map(|_| {
+                        let b = model_block(rng, None);
+                        (rng.chance(1, 2), b.off, b.end())
+                    })
+                    .collect::<Vec<_>>()
+            },
+            |ops| {
+                let mut set = IntervalSet::default();
+                let mut model = vec![false; MODEL_LEN as usize];
+                for &(add, a, b) in ops {
+                    let want: Vec<bool> = model[a as usize..b as usize].to_vec();
+                    if add {
+                        set.add(a, b);
+                        model[a as usize..b as usize].fill(true);
+                    } else {
+                        let mut got = vec![false; (b - a) as usize];
+                        // `take` appends: the marker in front must survive.
+                        let mut taken = vec![(0, 0)];
+                        set.take(a, b, &mut taken);
+                        let sorted = taken[1..].iter().all(|&(x, y)| x < y)
+                            && taken[1..].windows(2).all(|p| p[0].1 < p[1].0);
+                        if taken[0] != (0, 0) || !sorted {
+                            return Err(format!("take({a}, {b}) returned {taken:?}"));
+                        }
+                        for &(x, y) in &taken[1..] {
+                            got[(x - a) as usize..(y - a) as usize].fill(true);
+                        }
+                        if got != want {
+                            return Err(format!("take({a}, {b}) returned {taken:?}"));
+                        }
+                        model[a as usize..b as usize].fill(false);
+                    }
+                    // Sorted, nonempty and never touching: one interval per run.
+                    let canonical = set.iv.iter().all(|&(x, y)| x < y)
+                        && set.iv.windows(2).all(|p| p[0].1 < p[1].0);
+                    let mut bytes = vec![false; MODEL_LEN as usize];
+                    for &(x, y) in &set.iv {
+                        bytes[x as usize..y as usize].fill(true);
+                    }
+                    if !canonical || bytes != model {
+                        return Err(format!("set {:?} after {add}({a}, {b})", set.iv));
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 }

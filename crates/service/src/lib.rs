@@ -1105,27 +1105,20 @@ mod tests {
 
     #[test]
     fn deadline_cancels_a_queued_job() {
-        // One worker wedged behind a slow parallel job; a second job with
-        // a tiny deadline must resolve DeadlineExceeded without running.
+        // The only worker is held until the second job has resolved, so that
+        // job, with a tiny deadline, must resolve DeadlineExceeded while it
+        // is still queued and never run.
         let g = grid();
         let svc = Service::new(ServiceConfig {
             workers: 1,
             breaker: slow_cooldown(),
             ..ServiceConfig::default()
         });
-        // Wedge: a straggler-slowed parallel job holds the only worker.
-        let slow = Arc::new(FaultPlan::new(
-            5,
-            g.world_size(),
-            FaultSpec::none().with_stragglers(1.0, 50.0),
-        ));
-        let first = svc.submit(
-            &PairwiseAlltoall,
-            &g,
-            JobSpec::new(0, 4096)
-                .with_engine(Engine::Parallel { threads: 2 })
-                .with_faults(slow),
-        );
+        // Dropping `release` (a failed assertion unwinding) frees it too.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        svc.pool.spawn(move || {
+            let _ = held.recv();
+        });
         let doomed = svc.submit(
             &PairwiseAlltoall,
             &g,
@@ -1135,7 +1128,7 @@ mod tests {
             Err(JobError::DeadlineExceeded { .. }) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        first.wait().unwrap();
+        release.send(()).unwrap();
         svc.join();
         let stats = svc.stats();
         assert_eq!(stats.robustness.deadline_expired, 1);
