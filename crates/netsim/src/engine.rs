@@ -11,10 +11,13 @@
 //! every node.
 //!
 //! Protocol semantics:
+//! * **Pairing**: the k-th send on a `(from, to, tag)` channel fills the
+//!   k-th receive however messages overtake on the wire, as
+//!   [`a2a_sched::FifoChannels`] resolves it for `Matched` too.
 //! * **Eager** (`bytes <= eager_threshold`): the send request completes as
 //!   soon as it is posted (the library buffers the payload); the payload
-//!   travels immediately and waits in the receiver's unexpected queue if no
-//!   receive is posted.
+//!   travels immediately and waits at its receive, as unexpected, if that
+//!   receive is not posted yet.
 //! * **Rendezvous**: inter-node payloads pay a full RTS/CTS handshake (one
 //!   wire latency each way) and may not travel until the matching receive
 //!   is posted; the send request completes only when the payload has left
@@ -25,7 +28,7 @@
 //!   posted-queue depth — the costs that penalize huge non-blocking
 //!   windows at scale.
 
-use a2a_sched::ScheduleSource;
+use a2a_sched::{ScheduleSource, ValidationError};
 use a2a_topo::{ProcGrid, Rank};
 
 use crate::model::CostModel;
@@ -85,6 +88,8 @@ impl Perturb {
 pub enum SimError {
     /// Ranks remained blocked with no pending events (schedule bug).
     Deadlock { unfinished: usize },
+    /// A send that no receive matches, or a pair of differing lengths.
+    Unpaired(ValidationError),
 }
 
 impl std::fmt::Display for SimError {
@@ -93,6 +98,7 @@ impl std::fmt::Display for SimError {
             SimError::Deadlock { unfinished } => {
                 write!(f, "simulation deadlock: {unfinished} ranks unfinished")
             }
+            SimError::Unpaired(e) => write!(f, "simulation cannot pair a message: {e}"),
         }
     }
 }
@@ -135,7 +141,7 @@ fn run(
     let phase_names: Vec<String> = source.phase_names().iter().map(|s| s.to_string()).collect();
     let nphases = phase_names.len().max(1);
     let ctx = Ctx::new(grid, model, perturb, opts.jitter, nphases);
-    let mut shard = Shard::build(&ctx, source, opts.seed);
+    let mut shard = Shard::build(&ctx, source, opts.seed)?;
     shard.run_until();
     assemble(&shard, phase_names, nphases).map(|rep| (rep, shard.events))
 }
@@ -407,6 +413,86 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::Deadlock { unfinished: 2 });
+    }
+
+    /// Rank 0 sends one message per entry of `sends` to rank 1 on tag 3;
+    /// rank 1 posts one receive per entry of `recvs`. Entries are lengths.
+    struct OneChannel {
+        sends: &'static [Bytes],
+        recvs: &'static [Bytes],
+    }
+
+    impl ScheduleSource for OneChannel {
+        fn nranks(&self) -> usize {
+            2
+        }
+        fn buffers(&self, _r: Rank) -> Vec<Bytes> {
+            vec![64, 64]
+        }
+        fn build_rank(&self, r: Rank) -> RankProgram {
+            let mut b = ProgBuilder::new(Phase(0));
+            if r == 0 {
+                for &len in self.sends {
+                    b.send(1, Block::new(SBUF, 0, len), 3);
+                }
+            } else {
+                for &len in self.recvs {
+                    b.recv(0, Block::new(RBUF, 0, len), 3);
+                }
+            }
+            b.finish()
+        }
+        fn phase_names(&self) -> Vec<&'static str> {
+            vec!["x"]
+        }
+    }
+
+    fn sim_channel(
+        sends: &'static [Bytes],
+        recvs: &'static [Bytes],
+    ) -> Result<SimReport, SimError> {
+        let grid = ProcGrid::new(Machine::custom("t", 1, 1, 1, 2));
+        let src = OneChannel { sends, recvs };
+        simulate(&src, &grid, &crate::models::dane(), &SimOptions::default())
+    }
+
+    #[test]
+    fn a_send_no_receive_matches_is_an_error_naming_its_channel() {
+        assert!(sim_channel(&[8], &[8]).is_ok());
+        let err = sim_channel(&[8, 8], &[8]).unwrap_err();
+        let unmatched = ValidationError::MatchFailure {
+            from: 0,
+            to: 1,
+            tag: 3,
+            sends: 2,
+            recvs: 1,
+        };
+        assert_eq!(err, SimError::Unpaired(unmatched));
+        assert_eq!(
+            err.to_string(),
+            "simulation cannot pair a message: channel 0->1 tag 3: 2 send(s) but 1 receive(s)"
+        );
+    }
+
+    #[test]
+    fn a_pair_of_different_lengths_is_an_error_naming_its_channel() {
+        assert!(sim_channel(&[8, 16], &[8, 16]).is_ok());
+        let err = sim_channel(&[8, 16], &[8, 32]).unwrap_err();
+        let mismatch = ValidationError::MatchLengthFailure {
+            from: 0,
+            to: 1,
+            tag: 3,
+            index: 1,
+            send_len: 16,
+            recv_len: 32,
+        };
+        assert_eq!(err, SimError::Unpaired(mismatch));
+    }
+
+    #[test]
+    fn a_receive_no_send_matches_leaves_its_rank_deadlocked() {
+        let err = sim_channel(&[8], &[8, 8]).unwrap_err();
+        assert_eq!(err, SimError::Deadlock { unfinished: 1 });
     }
 
     #[test]

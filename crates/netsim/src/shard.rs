@@ -38,14 +38,13 @@
 //!   node / socket / NUMA domain and every `Perturb` lookup once per
 //!   simulation, so the event handlers do no integer division and no list
 //!   search.
-//! * **Match state.** Each rank keeps one open-addressing table
-//!   ([`MatchTable`]) with a 32-byte slot per *queued entry* — posted
-//!   receive, unexpected eager message, or waiting rendezvous send — keyed
-//!   by `(peer, tag)`. Entries of one channel sit in arrival order along
-//!   its probe sequence, so the oldest is the first hit: one probe per
-//!   message, no allocation per channel. `posted_len` / `unexpected_len`
-//!   remain plain counters; the simulated queue-search cost is charged
-//!   from them, never from the table's shape.
+//! * **Pairing by the schedule.** `Shard::build` pairs every message once
+//!   with [`a2a_sched::FifoChannels`], the k-th send on a channel with the
+//!   k-th receive, and each `Isend` then names its receive's request. An
+//!   arrival completes that receive if it is posted, or waits on its
+//!   request until it is; posting reads its own request. `posted_len` /
+//!   `unexpected_len` still count what waits, and the simulated queue
+//!   search is charged from them alone.
 //! * **WaitAll.** A parked rank remembers how many requests of its range
 //!   are still pending; a completion inside the range decrements that, and
 //!   only the last one folds `f64::max` over the range.
@@ -65,12 +64,12 @@
 //!   `alpha`, scaled by any per-link degradation.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
-use a2a_sched::{Op, RankProgram, TimedOp};
+use a2a_sched::{FifoChannels, Op, Post, RankProgram, TimedOp};
 use a2a_topo::{Level, ProcGrid, Rank};
 
-use crate::engine::Perturb;
+use crate::engine::{Perturb, SimError};
 use crate::model::CostModel;
 
 /// Map a time to a `u64` whose unsigned order is `f64::total_cmp`'s.
@@ -115,16 +114,16 @@ enum Payload {
     Eager {
         from: Rank,
         to: Rank,
-        tag: u32,
         len: u64,
+        recv_req: u32,
     },
     /// Rendezvous request-to-send control message reaching the receiver.
     Rts {
         from: Rank,
         to: Rank,
-        tag: u32,
         len: u64,
         send_req: u32,
+        recv_req: u32,
     },
     /// Clear-to-send grant reaching the sender (`to` is the sender).
     Cts {
@@ -158,7 +157,9 @@ struct SimOp {
     len: u64,
     /// Destination of an `Isend`, source of an `Irecv`.
     peer: Rank,
-    tag: u32,
+    /// A message op's tag, as lowered. [`pair_messages`] replaces an
+    /// `Isend`'s with the request of the receive it pairs with at `peer`.
+    link: u32,
     /// The op's request; the first request of a `WaitAll`.
     req: u32,
     kind: OpKind,
@@ -169,7 +170,7 @@ const _: () = assert!(std::mem::size_of::<SimOp>() == 24);
 
 impl SimOp {
     fn lower(t: &TimedOp) -> SimOp {
-        let (kind, peer, tag, req, len) = match t.op {
+        let (kind, peer, link, req, len) = match t.op {
             Op::Copy { src, .. } => (OpKind::Copy, 0, 0, 0, src.len),
             Op::Isend {
                 to,
@@ -188,7 +189,7 @@ impl SimOp {
         SimOp {
             len,
             peer,
-            tag,
+            link,
             req,
             kind,
             phase: t.phase.0,
@@ -196,163 +197,32 @@ impl SimOp {
     }
 }
 
+/// Where a request stands: what waits on it, since `req_time`, or `Done`
+/// at `req_time`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Queued {
-    Empty,
-    /// A posted receive: `time` is its post time, `req` its request.
+enum Req {
+    Open,
+    /// Its receive, posted before the message.
     Posted,
-    /// An eager message that arrived before its receive: `time` is the
-    /// arrival.
+    /// An eager message that arrived before its receive.
     Unexpected,
-    /// A rendezvous send waiting for its receive. Intra-node: `time` is
-    /// the sender's readiness time. Inter-node: the RTS arrival time
-    /// (always at or before the receive posts — the RTS event sorted
-    /// before the receiver's step). `req` is the send request.
+    /// A rendezvous send (request in `Shard::rdv_sends`), ready or with its
+    /// RTS arrived — always before the receive posts.
     Rdv,
+    Done,
 }
-
-/// One queued entry of a rank's match state.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    peer: Rank,
-    tag: u32,
-    len: u64,
-    time: f64,
-    req: u32,
-    kind: Queued,
-}
-
-const _: () = assert!(std::mem::size_of::<Slot>() == 32);
-
-const EMPTY_SLOT: Slot = Slot {
-    peer: 0,
-    tag: 0,
-    len: 0,
-    time: 0.0,
-    req: 0,
-    kind: Queued::Empty,
-};
-
-/// A rank's posted / unexpected / rendezvous queues in one linear-probing
-/// table with a slot per queued entry. Entries on one `(peer, tag)`
-/// channel share a home slot and are inserted at the first free slot after
-/// it, so they lie along the probe sequence oldest first; removal closes
-/// the gap by shifting later entries back one at a time, which keeps that
-/// order. At most half the slots are occupied.
-#[derive(Default)]
-struct MatchTable {
-    /// Power-of-two length, or empty until the first entry is queued.
-    slots: Vec<Slot>,
-    live: usize,
-}
-
-impl MatchTable {
-    #[inline]
-    fn home(&self, peer: Rank, tag: u32) -> usize {
-        // Fibonacci hashing: the top bits of the product are the index.
-        let k = ((tag as u64) << 32 | peer as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (k >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// Remove and return the oldest entry on `(peer, tag)` of kind `first`;
-    /// if there is none, the oldest of kind `second`.
-    fn take(&mut self, peer: Rank, tag: u32, first: Queued, second: Queued) -> Option<Slot> {
-        if self.live == 0 {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(peer, tag);
-        let mut fallback = None;
-        loop {
-            let s = self.slots[i];
-            if s.kind == Queued::Empty {
-                return fallback.map(|at| self.remove(at));
-            }
-            if s.peer == peer && s.tag == tag {
-                if s.kind == first {
-                    return Some(self.remove(i));
-                }
-                if s.kind == second && fallback.is_none() {
-                    fallback = Some(i);
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Queue `slot` behind every entry already on its channel.
-    fn push(&mut self, slot: Slot) {
-        if (self.live + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        self.insert(slot);
-        self.live += 1;
-    }
-
-    fn insert(&mut self, slot: Slot) {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(slot.peer, slot.tag);
-        while self.slots[i].kind != Queued::Empty {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = slot;
-    }
-
-    /// Take the entry at `hole` out and close the gap: each later entry of
-    /// the cluster moves back into the hole unless that would put it
-    /// before its home slot.
-    fn remove(&mut self, mut hole: usize) -> Slot {
-        let taken = self.slots[hole];
-        let mask = self.slots.len() - 1;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let s = self.slots[j];
-            if s.kind == Queued::Empty {
-                break;
-            }
-            let home = self.home(s.peer, s.tag);
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.slots[hole] = s;
-                hole = j;
-            }
-        }
-        self.slots[hole].kind = Queued::Empty;
-        self.live -= 1;
-        taken
-    }
-
-    /// Double the table. Re-insertion walks the old table cyclically from
-    /// a free slot, so every cluster — including one that wraps past the
-    /// end — is visited in probe order and channels keep their order.
-    fn grow(&mut self) {
-        let new_len = (self.slots.len() * 2).max(8);
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_len]);
-        let Some(start) = old.iter().position(|s| s.kind == Queued::Empty) else {
-            return;
-        };
-        for k in 1..old.len() {
-            let s = old[(start + k) & (old.len() - 1)];
-            if s.kind != Queued::Empty {
-                self.insert(s);
-            }
-        }
-    }
-}
-
-const PENDING: f64 = f64::NAN;
 
 pub(crate) struct RankSim {
     ops: Vec<SimOp>,
     pc: usize,
     pub clock: f64,
+    req: Vec<Req>,
     req_time: Vec<f64>,
     /// Parked `WaitAll`: its request range, and how many of those requests
     /// are still pending. Zero pending means the rank is not parked.
     park_first: u32,
     park_count: u32,
     park_pending: u32,
-    matching: MatchTable,
     posted_len: usize,
     unexpected_len: usize,
     pub phase_time: Vec<f64>,
@@ -365,11 +235,11 @@ impl RankSim {
             ops: prog.ops.iter().map(SimOp::lower).collect(),
             pc: 0,
             clock: 0.0,
-            req_time: vec![PENDING; prog.n_reqs as usize],
+            req: vec![Req::Open; prog.n_reqs as usize],
+            req_time: vec![0.0; prog.n_reqs as usize],
             park_first: 0,
             park_count: 0,
             park_pending: 0,
-            matching: MatchTable::default(),
             posted_len: 0,
             unexpected_len: 0,
             phase_time: vec![0.0; nphases],
@@ -384,47 +254,81 @@ impl RankSim {
         self.pc >= self.ops.len() && self.park_pending == 0
     }
 
-    /// Queue `slot` in the match state, counting it in the depth the
-    /// simulated queue search is charged from.
-    fn enqueue(&mut self, slot: Slot) {
-        match slot.kind {
-            Queued::Posted => self.posted_len += 1,
-            Queued::Unexpected => self.unexpected_len += 1,
-            Queued::Rdv | Queued::Empty => {}
+    /// Leave `what` waiting on `req` from `time`, counted in its queue.
+    fn hold(&mut self, req: u32, what: Req, time: f64) {
+        match what {
+            Req::Posted => self.posted_len += 1,
+            Req::Unexpected => self.unexpected_len += 1,
+            _ => {}
         }
-        self.matching.push(slot);
+        self.req[req as usize] = what;
+        self.req_time[req as usize] = time;
     }
 
-    /// The oldest receive posted on `(peer, tag)`, if any.
-    fn take_posted(&mut self, peer: Rank, tag: u32) -> Option<Slot> {
-        let posted = self
-            .matching
-            .take(peer, tag, Queued::Posted, Queued::Posted)?;
-        self.posted_len -= 1;
-        Some(posted)
-    }
-
-    /// What a receive on `(peer, tag)` matches: the oldest unexpected
-    /// eager message, else the oldest waiting rendezvous send.
-    fn take_message(&mut self, peer: Rank, tag: u32) -> Option<Slot> {
-        let msg = self
-            .matching
-            .take(peer, tag, Queued::Unexpected, Queued::Rdv)?;
-        if msg.kind == Queued::Unexpected {
-            self.unexpected_len -= 1;
+    /// Take what waits on `req` ([`Req::Open`] if nothing), and since when.
+    fn take(&mut self, req: u32) -> (Req, f64) {
+        let what = std::mem::replace(&mut self.req[req as usize], Req::Open);
+        debug_assert_ne!(what, Req::Done, "message for a completed request");
+        match what {
+            Req::Posted => self.posted_len -= 1,
+            Req::Unexpected => self.unexpected_len -= 1,
+            _ => {}
         }
-        Some(msg)
+        (what, self.req_time[req as usize])
     }
 
-    /// `f64::max` folded over the request range from the rank's clock, and
-    /// the number of requests in it that are still pending (`max` skips
-    /// their NaN).
+    /// `f64::max` folded over the request range's completion times from
+    /// the rank's clock, and the number of requests in it not yet done.
     fn wait_range(&self, first: u32, count: u32) -> (f64, u32) {
-        let range = &self.req_time[first as usize..(first + count) as usize];
-        range.iter().fold((self.clock, 0), |(latest, pending), &t| {
-            (latest.max(t), pending + t.is_nan() as u32)
-        })
+        let range = first as usize..(first + count) as usize;
+        let reqs = self.req[range.clone()].iter().zip(&self.req_time[range]);
+        reqs.fold(
+            (self.clock, 0),
+            |(latest, pending), (&what, &t)| match what {
+                Req::Done => (latest.max(t), pending),
+                _ => (latest, pending + 1),
+            },
+        )
     }
+}
+
+/// Pair every message by the schedule ([`FifoChannels`]): each `Isend`
+/// gets its receive's request in place of the tag. A receive that no send
+/// matches stays unpaired, and its rank deadlocks.
+fn pair_messages(ranks: &mut [RankSim]) -> Result<(), SimError> {
+    // One pass gathers every receive under its source and where each
+    // rank's sends are. It runs after lowering, not inside it: the
+    // pairing scratch then lies above the lowered programs in the heap,
+    // and its frees leave no hole below them for the report to take
+    // (a report placed low lets glibc return the freed heap to the OS,
+    // and the next simulation faults it back in).
+    let mut channels = FifoChannels::new(ranks.len());
+    let mut isends = vec![Vec::new(); ranks.len()];
+    for (r, st) in ranks.iter().enumerate() {
+        for (i, op) in st.ops.iter().enumerate() {
+            match op.kind {
+                OpKind::Isend => isends[r].push(i as u32),
+                OpKind::Irecv => {
+                    let (to, tag, id, len) = (r as Rank, op.link, op.req, op.len);
+                    channels.recv(op.peer, Post { to, tag, id, len });
+                }
+                OpKind::Copy | OpKind::WaitAll => {}
+            }
+        }
+    }
+    for (from, isends) in isends.into_iter().enumerate() {
+        let ops = &mut ranks[from].ops;
+        let post = |id: u32| {
+            let op = ops[id as usize];
+            let (to, tag, len) = (op.peer, op.link, op.len);
+            Post { to, tag, id, len }
+        };
+        let mut sends: Vec<Post> = isends.into_iter().map(post).collect();
+        let link = |_, send: &Post, recv: &Post| ops[send.id as usize].link = recv.id;
+        let paired = channels.pair(from as Rank, &mut sends, true, link);
+        paired.map_err(SimError::Unpaired)?;
+    }
+    Ok(())
 }
 
 /// Per-node shared resources. The node's NUMA and socket buses live in the
@@ -563,6 +467,9 @@ pub(crate) struct Shard<'a> {
     /// Payloads of the link events in `msgs`, and the free slots among them.
     payloads: Vec<Payload>,
     free_payloads: Vec<u32>,
+    /// `(receiver, receive request)` → the request of the rendezvous send
+    /// waiting on it ([`Req::Rdv`]).
+    rdv_sends: HashMap<(Rank, u32), u32>,
     pub msgs_per_level: [usize; 4],
     pub bytes_per_level: [u64; 4],
     /// Events processed.
@@ -570,17 +477,22 @@ pub(crate) struct Shard<'a> {
 }
 
 impl<'a> Shard<'a> {
-    /// Build the machine, lowering every rank's program and seeding its
-    /// step event at t=0.
-    pub fn build(ctx: &'a Ctx<'a>, source: &dyn a2a_sched::ScheduleSource, seed: u64) -> Self {
+    /// Build the machine, lowering every rank's program, pairing its
+    /// messages and seeding its step event at t=0.
+    pub fn build(
+        ctx: &'a Ctx<'a>,
+        source: &dyn a2a_sched::ScheduleSource,
+        seed: u64,
+    ) -> Result<Self, SimError> {
         // One rank at a time: the 64-byte source ops of a rank are gone
         // before the next rank's are built.
-        let ranks: Vec<RankSim> = (0..ctx.place.len())
+        let mut ranks: Vec<RankSim> = (0..ctx.place.len())
             .map(|r| {
                 let prog = source.rank_program(r as Rank);
                 RankSim::new(&prog, ctx.nphases, r as Rank, seed)
             })
             .collect();
+        pair_messages(&mut ranks)?;
         let mut shard = Shard {
             ctx,
             nodes: (0..ctx.nodes)
@@ -597,6 +509,7 @@ impl<'a> Shard<'a> {
             msgs: BinaryHeap::new(),
             payloads: Vec::new(),
             free_payloads: Vec::new(),
+            rdv_sends: HashMap::new(),
             ranks,
             msgs_per_level: [0; 4],
             bytes_per_level: [0; 4],
@@ -607,7 +520,7 @@ impl<'a> Shard<'a> {
                 shard.push_step(i as Rank, 0.0);
             }
         }
-        shard
+        Ok(shard)
     }
 
     fn push_step(&mut self, rank: Rank, time: f64) {
@@ -723,10 +636,8 @@ impl<'a> Shard<'a> {
     /// if that was the last pending request of its parked wait.
     fn complete_req(&mut self, rank: Rank, req: u32, time: f64) {
         let st = &mut self.ranks[rank as usize];
-        debug_assert!(
-            st.req_time[req as usize].is_nan(),
-            "request completed twice"
-        );
+        debug_assert_ne!(st.req[req as usize], Req::Done, "request completed twice");
+        st.req[req as usize] = Req::Done;
         st.req_time[req as usize] = time;
         // Not parked, or a request the parked wait does not cover.
         if st.park_pending == 0 || req.wrapping_sub(st.park_first) >= st.park_count {
@@ -747,25 +658,17 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Deliver an (eager) message arriving at `to`: match a posted receive
-    /// or enqueue as unexpected.
-    fn deliver(&mut self, from: Rank, to: Rank, tag: u32, len: u64, arrival: f64) {
+    /// An eager message reaches receive `req` of `to` at `arrival`: it
+    /// completes the receive if that is posted, or waits as unexpected.
+    fn deliver(&mut self, to: Rank, req: u32, arrival: f64) {
         let st = &mut self.ranks[to as usize];
-        match st.take_posted(from, tag) {
-            Some(pr) => {
-                debug_assert_eq!(pr.len, len, "message/receive length mismatch");
+        match st.take(req) {
+            (Req::Posted, posted) => {
                 let cost =
                     self.ctx.model.match_base + self.ctx.model.queue_search * st.posted_len as f64;
-                self.complete_req(to, pr.req, arrival.max(pr.time) + cost);
+                self.complete_req(to, req, arrival.max(posted) + cost);
             }
-            None => st.enqueue(Slot {
-                peer: from,
-                tag,
-                len,
-                time: arrival,
-                req: 0,
-                kind: Queued::Unexpected,
-            }),
+            _ => st.hold(req, Req::Unexpected, arrival),
         }
     }
 
@@ -799,32 +702,33 @@ impl<'a> Shard<'a> {
     /// Process one link event arriving at `time`.
     fn handle_msg(&mut self, time: f64, payload: Payload) {
         match payload {
-            Payload::Eager { from, to, tag, len } => {
+            Payload::Eager {
+                from,
+                to,
+                len,
+                recv_req,
+            } => {
                 // Payload reached the destination NIC: eject in arrival
-                // order, then match.
+                // order, then deliver.
                 let rx_end = self.eject(from, to, len, time);
-                self.deliver(from, to, tag, len, rx_end);
+                self.deliver(to, recv_req, rx_end);
             }
             Payload::Rts {
                 from,
                 to,
-                tag,
                 len,
                 send_req,
+                recv_req,
             } => {
                 // Request-to-send at the receiver: grant immediately if the
                 // receive is already posted, otherwise wait for it.
                 let st = &mut self.ranks[to as usize];
-                match st.take_posted(from, tag) {
-                    Some(pr) => self.send_cts(to, from, len, send_req, pr.req, time),
-                    None => st.enqueue(Slot {
-                        peer: from,
-                        tag,
-                        len,
-                        time,
-                        req: send_req,
-                        kind: Queued::Rdv,
-                    }),
+                match st.take(recv_req) {
+                    (Req::Posted, _) => self.send_cts(to, from, len, send_req, recv_req, time),
+                    _ => {
+                        st.hold(recv_req, Req::Rdv, time);
+                        self.rdv_sends.insert((to, recv_req), send_req);
+                    }
                 }
             }
             Payload::Cts {
@@ -883,8 +787,9 @@ impl<'a> Shard<'a> {
         );
     }
 
-    /// Inter-node send: eager injects now; rendezvous opens the handshake.
-    fn isend_internode(&mut self, rank: Rank, to: Rank, tag: u32, len: u64, req: u32, ready: f64) {
+    /// Inter-node send `req` of `rank` to receive `recv` of `to`: eager
+    /// injects now; rendezvous opens the handshake.
+    fn isend_internode(&mut self, rank: Rank, to: Rank, recv: u32, len: u64, req: u32, ready: f64) {
         let sn = self.ctx.node_of(rank);
         let dn = self.ctx.node_of(to);
         if self.ctx.model.is_rendezvous(len, Level::InterNode) {
@@ -896,9 +801,9 @@ impl<'a> Shard<'a> {
                 Payload::Rts {
                     from: rank,
                     to,
-                    tag,
                     len,
                     send_req: req,
+                    recv_req: recv,
                 },
             );
         } else {
@@ -913,8 +818,8 @@ impl<'a> Shard<'a> {
                 Payload::Eager {
                     from: rank,
                     to,
-                    tag,
                     len,
+                    recv_req: recv,
                 },
             );
         }
@@ -936,7 +841,7 @@ impl<'a> Shard<'a> {
                 st.pc += 1;
             }
             OpKind::Isend => {
-                let (to, tag, len, req) = (op.peer, op.tag, op.len, op.req);
+                let (to, recv_req, len, req) = (op.peer, op.link, op.len, op.req);
                 let jf = self.noise(rank);
                 let st = &mut self.ranks[ridx];
                 st.clock += model.o_send * jf;
@@ -944,70 +849,59 @@ impl<'a> Shard<'a> {
                 let ready = st.clock;
                 let level = self.ctx.level(rank, to);
                 if level == Level::InterNode {
-                    self.isend_internode(rank, to, tag, len, req, ready);
+                    self.isend_internode(rank, to, recv_req, len, req, ready);
                 } else if model.is_rendezvous(len, level) {
                     // Intra-node rendezvous: the receiver lives on the same
-                    // node, so peek its posted queue directly.
+                    // node, so read its receive's request directly.
                     let peer = &mut self.ranks[to as usize];
-                    match peer.take_posted(rank, tag) {
-                        Some(pr) => {
-                            let t0 = ready.max(pr.time + model.level(level).alpha);
+                    match peer.take(recv_req) {
+                        (Req::Posted, posted) => {
+                            let t0 = ready.max(posted + model.level(level).alpha);
                             let arrival = self.transport_intra(rank, level, len, t0);
                             self.complete_req(rank, req, arrival);
-                            self.complete_req(to, pr.req, arrival + model.match_base);
+                            self.complete_req(to, recv_req, arrival + model.match_base);
                         }
-                        None => peer.enqueue(Slot {
-                            peer: rank,
-                            tag,
-                            len,
-                            time: ready,
-                            req,
-                            kind: Queued::Rdv,
-                        }),
+                        _ => {
+                            peer.hold(recv_req, Req::Rdv, ready);
+                            self.rdv_sends.insert((to, recv_req), req);
+                        }
                     }
                 } else {
                     // Intra-node eager: payload crosses the bus now.
                     let arrival = self.transport_intra(rank, level, len, ready);
                     self.complete_req(rank, req, ready);
-                    self.deliver(rank, to, tag, len, arrival);
+                    self.deliver(to, recv_req, arrival);
                 }
             }
             OpKind::Irecv => {
-                let (from, tag, len, req) = (op.peer, op.tag, op.len, op.req);
+                let (from, len, req) = (op.peer, op.len, op.req);
                 let jf = self.noise(rank);
                 let st = &mut self.ranks[ridx];
                 st.clock += (model.o_recv + model.queue_search * st.unexpected_len as f64) * jf;
                 st.pc += 1;
                 let post_time = st.clock;
-                // An unexpected eager message first, then a waiting
-                // rendezvous send; otherwise the receive is posted.
-                match st.take_message(from, tag) {
-                    Some(msg) if msg.kind == Queued::Unexpected => {
-                        debug_assert_eq!(msg.len, len);
-                        let done = post_time.max(msg.time) + model.match_base;
+                // Its message may be here first: an unexpected eager
+                // payload, or a rendezvous send waiting for the grant.
+                // Otherwise the receive is posted.
+                match st.take(req) {
+                    (Req::Unexpected, arrived) => {
+                        let done = post_time.max(arrived) + model.match_base;
                         self.complete_req(rank, req, done);
                     }
-                    Some(rs) => {
-                        debug_assert_eq!(rs.len, len);
+                    (Req::Rdv, ready) => {
+                        let send_req = self.rdv_sends.remove(&(rank, req)).unwrap();
                         let level = self.ctx.level(from, rank);
                         if level == Level::InterNode {
                             // The RTS is waiting: grant it now.
-                            self.send_cts(rank, from, len, rs.req, req, post_time);
+                            self.send_cts(rank, from, len, send_req, req, post_time);
                         } else {
-                            let t0 = rs.time.max(post_time + model.level(level).alpha);
+                            let t0 = ready.max(post_time + model.level(level).alpha);
                             let arrival = self.transport_intra(from, level, len, t0);
-                            self.complete_req(from, rs.req, arrival);
+                            self.complete_req(from, send_req, arrival);
                             self.complete_req(rank, req, arrival + model.match_base);
                         }
                     }
-                    None => st.enqueue(Slot {
-                        peer: from,
-                        tag,
-                        len,
-                        time: post_time,
-                        req,
-                        kind: Queued::Posted,
-                    }),
+                    _ => st.hold(req, Req::Posted, post_time),
                 }
             }
             OpKind::WaitAll => {
@@ -1087,7 +981,7 @@ mod tests {
         let grid = ProcGrid::new(Machine::custom("t", nodes, 1, 1, progs.len() / nodes));
         let model = crate::models::dane();
         let ctx = Ctx::new(&grid, &model, &Perturb::default(), 0.0, 1);
-        let mut shard = Shard::build(&ctx, &Progs(progs), 0);
+        let mut shard = Shard::build(&ctx, &Progs(progs), 0).unwrap();
         shard.run_until();
         check(&mut shard);
     }
@@ -1137,7 +1031,8 @@ mod tests {
             b.irecv(1, rbuf(8), 0);
             b.waitall(first, 2);
         });
-        drained(1, vec![waiter, RankProgram::default()], |shard| {
+        let receiver = program(|b| b.recv(0, rbuf(8), 0));
+        drained(1, vec![waiter, receiver], |shard| {
             assert_eq!(shard.ranks[0].park_pending, 1);
             shard.complete_req(0, 1, 42.0);
             assert!(shard.ranks[0].done());
@@ -1223,77 +1118,33 @@ mod tests {
         });
     }
 
-    fn entry(peer: Rank, tag: u32, kind: Queued, req: u32) -> Slot {
-        Slot {
-            peer,
-            tag,
-            len: 8,
-            time: req as f64,
-            req,
-            kind,
-        }
+    #[test]
+    fn a_short_message_overtaking_a_long_one_fills_the_second_receive() {
+        // Both eager on Dane: the 8 B message leaves second but lands
+        // first. Arrival order would hand it to the 8000 B receive.
+        drained(2, two_on_one_channel([8000, 8], 0), |shard| {
+            assert!(shard.ranks.iter().all(RankSim::done));
+            let recv = &shard.ranks[1].req_time;
+            assert!(recv[1] < recv[0], "8 B filled the first receive: {recv:?}");
+        });
     }
 
     #[test]
-    fn a_channel_stays_in_order_through_growth_and_removals_around_it() {
-        let mut t = MatchTable::default();
-        // Channel (3, 9) interleaved with 40 one-entry channels: the table
-        // doubles four times while the channel is queued.
-        for i in 0..20 {
-            t.push(entry(3, 9, Queued::Posted, i));
-            t.push(entry(100 + i, 9, Queued::Posted, 0));
-            t.push(entry(3, 100 + i, Queued::Posted, 0));
-        }
-        assert_eq!(t.live, 60);
-        assert!(t.slots.len() >= 120);
-        for i in 0..20 {
-            let got = t.take(3, 9, Queued::Posted, Queued::Posted);
-            assert_eq!(got.map(|s| s.req), Some(i));
-            // Removing neighbours shifts the remaining entries about.
-            assert!(t.take(100 + i, 9, Queued::Posted, Queued::Posted).is_some());
-            assert!(t.take(3, 100 + i, Queued::Posted, Queued::Posted).is_some());
-        }
-        assert_eq!(t.live, 0);
-        assert!(t.take(3, 9, Queued::Posted, Queued::Posted).is_none());
-        assert!(t.slots.iter().all(|s| s.kind == Queued::Empty));
-    }
-
-    #[test]
-    fn a_channel_wrapped_past_the_table_end_keeps_its_order_when_the_table_grows() {
-        let mut t = MatchTable {
-            slots: vec![EMPTY_SLOT; 8],
-            live: 0,
-        };
-        let peer = (0..).find(|&p| t.home(p, 0) == 7).unwrap();
-        for req in 0..3 {
-            t.push(entry(peer, 0, Queued::Unexpected, req));
-        }
-        // The cluster occupies slots 7, 0, 1.
-        assert_eq!(t.slots[7].req, 0);
-        assert_eq!(t.slots[1].req, 2);
-        for other in 0..2 {
-            t.push(entry(peer, 1 + other, Queued::Unexpected, 0));
-        }
-        assert_eq!(t.slots.len(), 16, "the fifth entry doubles the table");
-        for req in 0..3 {
-            let got = t.take(peer, 0, Queued::Unexpected, Queued::Rdv);
-            assert_eq!(got.map(|s| s.req), Some(req));
-        }
-    }
-
-    #[test]
-    fn a_receive_takes_an_unexpected_message_before_an_older_rendezvous_send() {
-        let mut t = MatchTable::default();
-        t.push(entry(2, 5, Queued::Rdv, 10));
-        t.push(entry(2, 5, Queued::Rdv, 11));
-        t.push(entry(2, 5, Queued::Unexpected, 12));
-        // Only messages are queued: an arrival finds no posted receive.
-        assert!(t.take(2, 5, Queued::Posted, Queued::Posted).is_none());
-        let order: Vec<u32> = (0..3)
-            .map(|_| t.take(2, 5, Queued::Unexpected, Queued::Rdv).unwrap().req)
-            .collect();
-        assert_eq!(order, [12, 10, 11]);
-        assert!(t.take(2, 5, Queued::Unexpected, Queued::Rdv).is_none());
+    fn a_rendezvous_send_keeps_its_place_ahead_of_a_later_eager_message() {
+        // 16 KiB goes by rendezvous on Dane, 8 B eagerly; both wait for
+        // the late receiver, the eager payload as unexpected. The first
+        // receive is the rendezvous send's, so it is granted at once and
+        // lands after the second receive takes the unexpected message.
+        let big = 2 * crate::models::dane().eager_threshold;
+        drained(2, two_on_one_channel([big, 8], 100), |shard| {
+            assert!(shard.ranks.iter().all(RankSim::done));
+            assert_eq!(shard.ranks[1].unexpected_len, 0);
+            let recv = &shard.ranks[1].req_time;
+            assert!(
+                recv[1] < recv[0],
+                "eager message filled the first receive: {recv:?}"
+            );
+        });
     }
 
     #[test]

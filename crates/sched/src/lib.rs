@@ -18,12 +18,11 @@
 //! dependency structure (a `Sendrecv` blocks until both transfers complete)
 //! while keeping the executors uniform.
 //!
-//! The executors match messages *dynamically* (faults, retransmits,
-//! virtual time). Everything static reads one table instead: the validator
-//! ([`validate()`]) resolves "the k-th send on a channel pairs with the k-th
-//! receive" once into a [`Matched`] schedule, and the wait-for graph, the
-//! dataflow prover and the critical-path analyzer ([`analysis`]) are folds
-//! over it.
+//! The executors match messages *dynamically* (faults, retransmits). The
+//! simulator and the validator ([`validate()`]) resolve "the k-th send on a
+//! channel pairs with the k-th receive" statically ([`FifoChannels`]), the
+//! validator into a [`Matched`] schedule that the wait-for graph, the
+//! dataflow prover and the critical-path analyzer ([`analysis`]) fold over.
 //!
 //! # Example
 //!
@@ -41,6 +40,7 @@
 pub mod analysis;
 pub mod builder;
 pub mod exec;
+pub mod fifo;
 pub mod ir;
 pub mod step;
 pub mod validate;
@@ -51,6 +51,7 @@ pub use exec::{
     DataExecutor, ExecError, ExecScratch, ExecStats, FaultInjector, FaultStats, MessageFault,
     PreparedSchedule,
 };
+pub use fifo::{FifoChannels, Post};
 pub use ir::{Block, BufId, Bytes, Op, Phase, RankProgram, TimedOp, RBUF, SBUF, TMP0, TMP1, TMP2};
 pub use step::{Progress, RankStepper, Transport};
 pub use validate::{validate, Matched, ScheduleStats, ValidationError};

@@ -21,6 +21,7 @@ use std::borrow::Cow;
 
 use a2a_topo::{Level, ProcGrid, Rank};
 
+use crate::fifo::{FifoChannels, Post};
 use crate::ir::{Block, Bytes, Op, RankProgram};
 use crate::ScheduleSource;
 
@@ -214,11 +215,11 @@ impl ScheduleStats {
 ///
 /// Matching is the static FIFO rule — the k-th `Isend` on a
 /// `(from, to, tag)` channel pairs with the k-th `Irecv` on it, each in
-/// program order. (Executors, runtime and simulator match *dynamically*,
-/// under faults, retransmits and virtual time, and agree with this rule on
-/// every fault-free run.) A request completes at the **first** `WaitAll`
-/// covering it; a later wait over the same request is legal IR and finds it
-/// complete.
+/// program order — as [`FifoChannels`] resolves it for the simulator too.
+/// (The executors match *dynamically*, under faults and retransmits, and
+/// agree with this rule on every fault-free run.) A request completes at
+/// the **first** `WaitAll` covering it; a later wait over the same request
+/// is legal IR and finds it complete.
 ///
 /// The programs are the `Cow`s [`ScheduleSource::rank_program`] hands out:
 /// borrowed from a source that stores them (a [`crate::PreparedSchedule`],
@@ -247,13 +248,13 @@ impl<'a> Matched<'a> {
             partner: Vec::with_capacity(n),
             reqs: Vec::with_capacity(n),
         };
-        // Every message op: `(channel, is a receive, op index)`.
-        let mut posts: Vec<((Rank, Rank, u32), bool, usize)> = Vec::new();
-
+        // Receives under their source, sends under their sender.
+        let (mut channels, mut sends) = (FifoChannels::new(n), Vec::with_capacity(n));
         for rank in 0..n as Rank {
             let sizes = source.buffers(rank);
             let prog = source.rank_program(rank);
             let mut reqs = vec![(UNSET, UNSET); prog.n_reqs as usize];
+            let mut mine = Vec::new();
 
             let check_block = |block: Block| match sizes.get(block.buf.0 as usize) {
                 Some(&size)
@@ -301,7 +302,8 @@ impl<'a> Matched<'a> {
                         check_block(block)?;
                         post(&mut reqs, req, i)?;
                         check_peer(to)?;
-                        posts.push(((rank, to, tag), false, i));
+                        let (id, len) = (i as u32, block.len);
+                        mine.push(Post { to, tag, id, len });
                     }
                     Op::Irecv {
                         from,
@@ -312,7 +314,8 @@ impl<'a> Matched<'a> {
                         check_block(block)?;
                         post(&mut reqs, req, i)?;
                         check_peer(from)?;
-                        posts.push(((from, rank, tag), true, i));
+                        let (to, id, len) = (rank, i as u32, block.len);
+                        channels.recv(from, Post { to, tag, id, len });
                     }
                     Op::WaitAll { first_req, count } => {
                         // An id that saturates is out of range like any
@@ -346,45 +349,23 @@ impl<'a> Matched<'a> {
                     return Err(ValidationError::UnwaitedRequest { rank, req });
                 }
             }
+            sends.push(mine);
             m.partner.push(vec![None; prog.ops.len()]);
             m.reqs.push(reqs);
             m.buffers.push(sizes);
             m.progs.push(prog);
         }
 
-        // The sort is stable: each channel's sends, then its receives, both
-        // in program order (one rank posts all of either kind). Channels
-        // come out ascending, so a broken schedule reports its smallest
-        // failing channel whatever order the ranks were built in.
-        posts.sort_by_key(|&(chan, is_recv, _)| (chan, is_recv));
-        for channel in posts.chunk_by(|a, b| a.0 == b.0) {
-            let (from, to, tag) = channel[0].0;
-            let (sends, recvs) = channel.split_at(channel.partition_point(|p| !p.1));
-            if sends.len() != recvs.len() {
-                return Err(ValidationError::MatchFailure {
-                    from,
-                    to,
-                    tag,
-                    sends: sends.len(),
-                    recvs: recvs.len(),
-                });
-            }
-            for (index, (&(_, _, send), &(_, _, recv))) in sends.iter().zip(recvs).enumerate() {
-                let send_len = m.progs[from as usize].ops[send].op.bytes();
-                let recv_len = m.progs[to as usize].ops[recv].op.bytes();
-                if send_len != recv_len {
-                    return Err(ValidationError::MatchLengthFailure {
-                        from,
-                        to,
-                        tag,
-                        index,
-                        send_len,
-                        recv_len,
-                    });
-                }
+        // Senders in rank order visit channels in ascending order, so a
+        // broken schedule reports its smallest failing channel whatever
+        // order the ranks were built in.
+        for (from, mut mine) in sends.into_iter().enumerate() {
+            let from = from as Rank;
+            channels.pair(from, &mut mine, false, |to, send, recv| {
+                let (send, recv) = (send.id as usize, recv.id as usize);
                 m.partner[from as usize][send] = Some((to, recv));
                 m.partner[to as usize][recv] = Some((from, send));
-            }
+            })?;
         }
         Ok(m)
     }

@@ -117,7 +117,8 @@ struct Inner {
     state: BreakerState,
     /// Recent final outcomes while closed (`true` = failure).
     window: VecDeque<bool>,
-    opened_at: Option<Instant>,
+    /// When an open breaker's cooldown ends (`None`: closed, or never).
+    cools_at: Option<Instant>,
     /// The error that opened the breaker; cleared when it closes.
     first_error: Option<JobError>,
     probes_inflight: usize,
@@ -143,7 +144,7 @@ impl Breaker {
             inner: Mutex::new(Inner {
                 state: BreakerState::Closed,
                 window: VecDeque::new(),
-                opened_at: None,
+                cools_at: None,
                 first_error: None,
                 probes_inflight: 0,
                 probe_successes: 0,
@@ -160,9 +161,7 @@ impl Breaker {
         match g.state {
             BreakerState::Closed => Admission::Allowed,
             BreakerState::Open => {
-                let cooled = g
-                    .opened_at
-                    .is_some_and(|at| at.elapsed() >= self.cfg.cooldown);
+                let cooled = g.cools_at.is_some_and(|at| Instant::now() >= at);
                 if cooled {
                     g.state = BreakerState::HalfOpen;
                     g.probes_inflight = 1;
@@ -205,7 +204,7 @@ impl Breaker {
                 if g.probe_successes >= self.cfg.probes.max(1) {
                     g.state = BreakerState::Closed;
                     g.window.clear();
-                    g.opened_at = None;
+                    g.cools_at = None;
                     g.first_error = None;
                     g.probes_inflight = 0;
                     g.probe_successes = 0;
@@ -262,7 +261,7 @@ impl Breaker {
 
     fn open(&self, g: &mut Inner, err: &JobError) {
         g.state = BreakerState::Open;
-        g.opened_at = Some(Instant::now());
+        g.cools_at = Instant::now().checked_add(self.cfg.cooldown);
         g.opens += 1;
         g.window.clear();
         // First error wins across reopen cycles, mirroring the fabric's
@@ -278,7 +277,7 @@ impl Breaker {
         let mut g = lock(&self.inner);
         g.state = BreakerState::Closed;
         g.window.clear();
-        g.opened_at = None;
+        g.cools_at = None;
         g.first_error = None;
         g.probes_inflight = 0;
         g.probe_successes = 0;
@@ -287,6 +286,12 @@ impl Breaker {
     #[cfg(test)]
     pub fn state(&self) -> BreakerState {
         lock(&self.inner).state
+    }
+
+    /// End the cooldown now, so tests never race a cooldown's clock.
+    #[cfg(test)]
+    pub fn end_cooldown(&self) {
+        lock(&self.inner).cools_at = Some(Instant::now());
     }
 
     pub fn snapshot(&self) -> BreakerSnapshot {
@@ -366,10 +371,10 @@ mod tests {
 
     #[test]
     fn half_open_probe_success_closes_and_failure_reopens() {
-        let b = Breaker::new(3, cfg(Duration::from_millis(5)));
+        let b = Breaker::new(3, cfg(Duration::from_secs(60)));
         b.record_failure(&JobError::DeadRank { rank: 0 }, false);
         assert!(matches!(b.admit(), Admission::Denied(_)), "still cooling");
-        std::thread::sleep(Duration::from_millis(10));
+        b.end_cooldown();
 
         // First admission after the cooldown is the probe; a concurrent
         // second submission is still denied.
@@ -387,7 +392,7 @@ mod tests {
             _ => panic!("expected denial"),
         }
 
-        std::thread::sleep(Duration::from_millis(10));
+        b.end_cooldown();
         assert!(matches!(b.admit(), Admission::Probe));
         b.record_success(true);
         assert_eq!(b.state(), BreakerState::Closed);

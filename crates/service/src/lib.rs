@@ -996,10 +996,7 @@ mod tests {
     fn permanent_failure_opens_breaker_and_probe_recovers_it() {
         let g = grid();
         let svc = Service::new(ServiceConfig {
-            breaker: BreakerConfig {
-                cooldown: Duration::from_millis(20),
-                ..BreakerConfig::default()
-            },
+            breaker: slow_cooldown(),
             ..ServiceConfig::default()
         });
         let dead = Arc::new(FaultPlan::new(
@@ -1023,7 +1020,7 @@ mod tests {
             .unwrap();
         // After the cooldown a clean probe closes the breaker — recovery
         // without any reset call.
-        std::thread::sleep(Duration::from_millis(40));
+        svc.state.tenant(7).breaker.end_cooldown();
         svc.submit(&PairwiseAlltoall, &g, JobSpec::new(7, 64))
             .wait()
             .unwrap();
