@@ -76,96 +76,6 @@ pub fn lower_bound_from_stats(stats: &ScheduleStats, grid: &ProcGrid, model: &Co
     cpu.max(nic).max(bus).max(copies) + alpha
 }
 
-/// Closed-form estimate for the flat direct exchange (pairwise or
-/// non-blocking): per-rank posting plus per-node NIC serialization plus one
-/// wire traversal.
-pub fn predict_direct(grid: &ProcGrid, model: &CostModel, s: u64) -> f64 {
-    let n = grid.world_size() as f64;
-    let ppn = grid.machine().ppn() as f64;
-    let sf = s as f64;
-    let cpu = (n - 1.0) * (model.o_send + model.o_recv + model.match_base);
-    let inter_msgs = ppn * (n - ppn);
-    let nic = inter_msgs * (model.nic_per_msg + sf * model.nic_per_byte);
-    let net = model.level(Level::InterNode);
-    cpu.max(nic) + net.alpha + sf * net.beta
-}
-
-/// Closed-form estimate for Bruck: `ceil(log2 n)` rounds, each moving
-/// `n*s/2` bytes per rank (packing both ways) with every node's ranks
-/// sharing the NIC.
-pub fn predict_bruck(grid: &ProcGrid, model: &CostModel, s: u64) -> f64 {
-    let n = grid.world_size() as f64;
-    let ppn = grid.machine().ppn() as f64;
-    let rounds = (grid.world_size() as f64).log2().ceil();
-    let per_round_bytes = n * s as f64 / 2.0;
-    let net = model.level(Level::InterNode);
-    let per_round = model.o_send
-        + model.o_recv
-        + net.alpha
-        + per_round_bytes * net.beta
-        + ppn * per_round_bytes * model.nic_per_byte // node NIC share
-        + 2.0 * per_round_bytes * model.copy_per_byte; // pack + unpack
-    rounds * per_round
-}
-
-/// Closed-form estimate for hierarchical / multi-leader (Algorithm 3) with
-/// `ppl` processes per leader: gather to leaders, leader exchange, scatter.
-pub fn predict_hierarchical(grid: &ProcGrid, model: &CostModel, s: u64, ppl: usize) -> f64 {
-    let n = grid.world_size() as f64;
-    let nodes = grid.machine().nodes as f64;
-    let ppn = grid.machine().ppn() as f64;
-    let g = ppl as f64;
-    let leaders_per_node = ppn / g;
-    let m = nodes * leaders_per_node; // leader count
-    let total = n * s as f64; // one rank's full buffer
-    let local = model.level(Level::IntraSocket);
-
-    // Gather: the leader serializes g-1 member images of n*s bytes.
-    let gather = (g - 1.0) * (model.o_recv + local.alpha + total * local.beta);
-    // Packing on the leader: everything is copied twice per direction.
-    let pack = 4.0 * g * total * model.copy_per_byte;
-    // Leader exchange: each leader sends m-1 segments of g^2*s bytes; per
-    // node, `leaders_per_node` leaders share the NIC.
-    let seg = g * g * s as f64;
-    let nic = leaders_per_node * (m - 1.0) * (model.nic_per_msg + seg * model.nic_per_byte);
-    let cpu = (m - 1.0) * (model.o_send + model.o_recv + model.match_base);
-    let net = model.level(Level::InterNode);
-    let inter = nic.max(cpu) + net.alpha + seg * net.beta;
-    gather + pack + inter + gather // scatter mirrors the gather
-}
-
-/// Closed-form estimate for node-/locality-aware (Algorithm 4) with `ppg`
-/// processes per group.
-pub fn predict_node_aware(grid: &ProcGrid, model: &CostModel, s: u64, ppg: usize) -> f64 {
-    let nodes = grid.machine().nodes as f64;
-    let ppn = grid.machine().ppn() as f64;
-    let g = ppg as f64;
-    let regions = nodes * (ppn / g);
-    let n = grid.world_size() as f64;
-    let net = model.level(Level::InterNode);
-
-    // Inter phase: every rank sends g*s to one counterpart per region.
-    // Off-node peers per rank: all regions except the ppn/g on my node;
-    // the node's ppn ranks share the NIC for that traffic.
-    let off_node_regions = regions - ppn / g;
-    let inter_msgs_per_node = ppn * off_node_regions;
-    let seg = g * s as f64;
-    let nic = inter_msgs_per_node * (model.nic_per_msg + seg * model.nic_per_byte);
-    let cpu = (regions - 1.0) * (model.o_send + model.o_recv + model.match_base);
-    let inter = nic.max(cpu) + net.alpha + seg * net.beta;
-
-    // Intra phase: each rank exchanges (g-1) segments of regions*s bytes;
-    // aligned groups ride per-NUMA bandwidth, so use the socket tier as a
-    // middle estimate.
-    let local = model.level(Level::IntraSocket);
-    let intra_bytes = (g - 1.0) * regions * s as f64;
-    let intra = (g - 1.0) * (model.o_send + model.o_recv + local.alpha) + intra_bytes * local.beta;
-
-    // Packing: two transposes of the full n*s image.
-    let pack = 2.0 * n * s as f64 * model.copy_per_byte;
-    inter + intra + pack
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,56 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_prediction_within_factor_of_simulation() {
-        let grid = grid();
-        let model = models::dane();
-        for s in [64u64, 4096] {
-            let ctx = A2AContext::new(grid.clone(), s);
-            let algo = a2a_core::NonblockingAlltoall;
-            let sched = AlgoSchedule::new(&algo, ctx);
-            let sim = simulate(&sched, &grid, &model, &SimOptions::default())
-                .unwrap()
-                .total_us;
-            let pred = predict_direct(&grid, &model, s);
-            let ratio = sim / pred;
-            assert!(
-                (0.2..8.0).contains(&ratio),
-                "s={s}: sim {sim} vs predicted {pred} (ratio {ratio})"
-            );
-        }
-    }
-
-    #[test]
-    fn bruck_prediction_scales_with_size() {
-        let grid = grid();
-        let model = models::dane();
-        assert!(predict_bruck(&grid, &model, 4096) > predict_bruck(&grid, &model, 4));
-    }
-
-    #[test]
-    fn hierarchical_prediction_tracks_simulation_trends() {
-        let grid = grid();
-        let model = models::dane();
-        // Single-leader hierarchical gets worse than multi-leader at large
-        // sizes — in both the closed form and the simulator.
-        let ph_1 = predict_hierarchical(&grid, &model, 4096, grid.machine().ppn());
-        let ph_4 = predict_hierarchical(&grid, &model, 4096, 4);
-        assert!(ph_1 > ph_4, "closed form: {ph_1} vs {ph_4}");
-        for (ppl, pred) in [(grid.machine().ppn(), ph_1), (4, ph_4)] {
-            let algo = a2a_core::HierarchicalAlltoall::new(ppl, a2a_core::ExchangeKind::Pairwise);
-            let sched = AlgoSchedule::new(&algo, A2AContext::new(grid.clone(), 4096));
-            let sim = simulate(&sched, &grid, &model, &SimOptions::default())
-                .unwrap()
-                .total_us;
-            let ratio = sim / pred;
-            assert!(
-                (0.1..10.0).contains(&ratio),
-                "ppl={ppl}: sim {sim} vs pred {pred}"
-            );
-        }
-    }
-
-    #[test]
     fn static_critical_path_lower_bounds_the_simulator() {
         use a2a_sched::analysis::critical_path;
         let grid = grid();
@@ -292,29 +152,6 @@ mod tests {
             assert!(stat.bound_us > 0.0);
             let attr = stat.attribution;
             assert!((attr.total_us() - stat.bound_us).abs() < 1e-6 * stat.bound_us.max(1.0));
-        }
-    }
-
-    #[test]
-    fn node_aware_prediction_within_band_of_simulation() {
-        let grid = grid();
-        let model = models::dane();
-        for (ppg, s) in [(8usize, 64u64), (8, 4096), (4, 4096)] {
-            let pred = predict_node_aware(&grid, &model, s, ppg);
-            let algo = if ppg == grid.machine().ppn() {
-                a2a_core::NodeAwareAlltoall::node_aware(a2a_core::ExchangeKind::Pairwise)
-            } else {
-                a2a_core::NodeAwareAlltoall::locality_aware(ppg, a2a_core::ExchangeKind::Pairwise)
-            };
-            let sched = AlgoSchedule::new(&algo, A2AContext::new(grid.clone(), s));
-            let sim = simulate(&sched, &grid, &model, &SimOptions::default())
-                .unwrap()
-                .total_us;
-            let ratio = sim / pred;
-            assert!(
-                (0.1..10.0).contains(&ratio),
-                "ppg={ppg} s={s}: sim {sim} vs pred {pred} (ratio {ratio})"
-            );
         }
     }
 }

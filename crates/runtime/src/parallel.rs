@@ -105,7 +105,7 @@ impl Transport for FabricPort<'_> {
     fn send(
         &mut self,
         rank: u32,
-        _pc: usize,
+        _ord: u32,
         to: u32,
         tag: u32,
         block: Block,
@@ -114,7 +114,14 @@ impl Transport for FabricPort<'_> {
         self.fabric.send(rank, to, tag, data)
     }
 
-    fn recv(&mut self, rank: u32, from: u32, tag: u32, block: Block) -> Result<bool, RuntimeError> {
+    fn recv(
+        &mut self,
+        rank: u32,
+        _ord: u32,
+        from: u32,
+        tag: u32,
+        block: Block,
+    ) -> Result<bool, RuntimeError> {
         if self.stalled.contains(&(from, tag)) {
             return Ok(false);
         }
@@ -470,10 +477,10 @@ mod tests {
             bufs: &mut bufs,
             stalled: &mut stalled,
         };
-        assert_eq!(port.recv(1, 0, 7, block), Ok(false));
+        assert_eq!(port.recv(1, 0, 0, 7, block), Ok(false));
         fabric.send(0, 1, 7, &[1, 2, 3, 4]).unwrap();
         assert_eq!(
-            port.recv(1, 0, 7, block),
+            port.recv(1, 0, 0, 7, block),
             Ok(false),
             "a mid-step arrival belongs to the receive that missed it"
         );
@@ -483,7 +490,7 @@ mod tests {
             bufs: &mut bufs,
             stalled: &mut stalled,
         };
-        assert_eq!(port.recv(1, 0, 7, block), Ok(true));
+        assert_eq!(port.recv(1, 0, 0, 7, block), Ok(true));
         assert_eq!(bufs[1], [1, 2, 3, 4]);
     }
 

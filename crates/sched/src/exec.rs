@@ -1,9 +1,10 @@
 //! The data executor: runs a whole schedule on real byte buffers.
 //!
 //! This is the correctness oracle for every algorithm: it moves actual
-//! bytes through FIFO-matched mailboxes (matching on `(source, tag)`, in
-//! posting order, like MPI) and detects deadlocks, tag/peer mismatches,
-//! length mismatches, out-of-bounds accesses, and leftover messages.
+//! bytes between paired sends and receives (the k-th send on a
+//! `(from, to, tag)` channel with the k-th receive on it, like MPI) and
+//! detects deadlocks, tag/peer mismatches, length mismatches, out-of-bounds
+//! accesses, and leftover messages.
 //!
 //! Execution is sequential and deterministic: ranks are advanced round-robin
 //! until all programs finish or no rank can make progress. Non-blocking
@@ -18,29 +19,36 @@
 //!
 //! * programs are **borrowed** from the source ([`ScheduleSource::rank_program`]),
 //!   never cloned per run;
-//! * a [`PreparedSchedule`] precomputes, per send, whether its source bytes
-//!   stay untouched until delivery (**stable sends**) — those are delivered
-//!   with a single `memcpy` straight from the sender's live buffer into the
-//!   receiver's block;
+//! * a [`PreparedSchedule`] pairs every send with its receive once, through
+//!   [`FifoChannels`]: a sent message's descriptor is written straight into
+//!   its receive's **slot** (one flat array, one slot per receive), and a
+//!   posted receive reads its own slot — no mailbox, no queue, no lookup;
+//! * it also precomputes, per send, whether its source bytes stay untouched
+//!   until delivery (**stable sends**) — those are delivered with a single
+//!   `memcpy` straight from the sender's live buffer into the receiver's
+//!   block;
 //! * unstable sends (and every fault-perturbed message) are snapshotted into
 //!   a recycling **byte arena** — messages are `(offset, len)` slices, not
 //!   owned `Vec`s, and slots are reused by exact size class;
-//! * mailboxes are a dense `ranks × ranks × tag-slot` table of intrusive
-//!   FIFO queues over a **message-node pool** (a `HashMap` fallback kicks in
-//!   above [`DENSE_LIMIT`] entries so thousand-rank schedules stay bounded);
 //! * all run-to-run state lives in a reusable [`ExecScratch`], so a bench
 //!   loop allocates nothing after the first iteration.
 //!
+//! An unpaired send stays in flight, an unpaired receive is never satisfied,
+//! and a paired length mismatch is reported at delivery. An injected fault
+//! acts on its own message: a drop leaves its receive unsatisfied, and a
+//! duplicate is the one extra message left in flight.
+//!
 //! The interpreter is the shared [`RankStepper`] driven by [`step::drive`];
 //! this module is its zero-copy transport. `a2a_testutil::LegacyDataExecutor`
-//! runs the same stepper over an owned-payload `HashMap` mailbox, and a
-//! differential test pins this transport byte-identical to it.
+//! runs the same stepper over an owned-payload `HashMap` mailbox that
+//! matches at run time, and a differential test pins this transport
+//! byte-identical to it.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use a2a_topo::Rank;
 
+use crate::fifo::{FifoChannels, Post};
 use crate::ir::{Block, BufId, Bytes, Op, RankProgram};
 use crate::step::{self, copy_block, split_two, RankStepper, Transport};
 use crate::ScheduleSource;
@@ -180,8 +188,9 @@ impl MessageFault {
     }
 }
 
-/// Decides each message's fate. `seq` numbers messages per
-/// `(from, to, tag)` stream in send order, so a deterministic injector
+/// Decides each message's fate. `seq` is the send's index on its
+/// `(from, to, tag)` channel, in the sender's program order (the data
+/// executor computes it at prepare time), so a deterministic injector
 /// (e.g. `a2a_faults::FaultPlan`) produces the same fate regardless of
 /// executor interleaving.
 pub trait FaultInjector: Sync {
@@ -242,17 +251,25 @@ pub struct ExecStats {
     pub copy_bytes: Bytes,
 }
 
-/// Dense-mailbox ceiling: above `ranks² × tags` entries the table would
-/// dominate memory, so the scratch falls back to a hash-indexed sparse map.
-pub const DENSE_LIMIT: usize = 1 << 22;
+/// [`SendLink::recv`] of a send no receive pairs with.
+const UNPAIRED: u32 = u32::MAX;
 
-/// Sentinel for "no node" in the intrusive queues / free list.
-const NONE_NODE: u32 = u32::MAX;
-/// `MsgNode::src` value marking an arena-backed payload.
-const SRC_ARENA: Rank = Rank::MAX;
+/// How one `Isend` is delivered, resolved at prepare time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SendLink {
+    /// The paired receive's ordinal among the receiver's receives, or
+    /// [`UNPAIRED`].
+    recv: u32,
+    /// The send's index on its `(from, to, tag)` channel: the fault
+    /// layer's `seq`.
+    seq: u32,
+    /// Whether the source bytes provably stay untouched until delivery
+    /// ([`send_stability`]).
+    stable: bool,
+}
 
 /// A schedule compiled for execution: borrowed (or built-once) programs,
-/// buffer sizes, the distinct tag set, and per-send stability flags.
+/// buffer sizes, and every send's paired receive and stability.
 ///
 /// Preparing once and calling [`DataExecutor::run_prepared`] in a loop is
 /// the intended bench path: programs are never rebuilt or cloned, and the
@@ -269,41 +286,70 @@ pub struct PreparedSchedule<'s> {
     nranks: usize,
     progs: Vec<Cow<'s, RankProgram>>,
     bufsizes: Vec<Vec<Bytes>>,
-    /// Sorted distinct tags across all programs; index = dense tag slot.
-    tags: Vec<u32>,
-    /// Per rank, per op: `true` for an `Isend` whose source bytes provably
-    /// stay untouched until delivery (no receive anywhere in the program
-    /// and no later copy writes into the source region).
-    stable: Vec<Vec<bool>>,
+    /// Per rank, per `Isend` in program order: how it is delivered.
+    sends: Vec<Vec<SendLink>>,
+    /// Rank `r`'s receives own slots `recv_base[r]..recv_base[r + 1]`, in
+    /// posting order.
+    recv_base: Vec<usize>,
     phase_names: Vec<&'static str>,
 }
 
 impl<'s> PreparedSchedule<'s> {
     pub fn new(source: &'s dyn ScheduleSource) -> Self {
         let n = source.nranks();
-        let mut progs = Vec::with_capacity(n);
-        let mut bufsizes = Vec::with_capacity(n);
-        let mut tags: Vec<u32> = Vec::new();
+        let (mut progs, mut bufsizes) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut recv_base = vec![0];
+        // Receives under their source, each named by its ordinal.
+        let mut channels = FifoChannels::new(n);
         for r in 0..n as Rank {
             let prog = source.rank_program(r);
+            let mut id = 0;
             for top in &prog.ops {
-                match top.op {
-                    Op::Isend { tag, .. } | Op::Irecv { tag, .. } => tags.push(tag),
-                    _ => {}
+                if let Op::Irecv {
+                    from, block, tag, ..
+                } = top.op
+                {
+                    let (to, len) = (r, block.len);
+                    channels.recv(from, Post { to, tag, id, len });
+                    id += 1;
                 }
             }
+            recv_base.push(recv_base[r as usize] + id as usize);
             bufsizes.push(source.buffers(r));
             progs.push(prog);
         }
-        tags.sort_unstable();
-        tags.dedup();
-        let stable = progs.iter().map(|p| send_stability(p)).collect();
+        // Then each rank's sends against them. Every channel's common
+        // prefix pairs; leftovers on either side stay unpaired.
+        let sends = (progs.iter().enumerate())
+            .map(|(from, prog)| {
+                let (stable, mut posts, mut links) = (send_stability(prog), vec![], vec![]);
+                for top in &prog.ops {
+                    if let Op::Isend { to, block, tag, .. } = top.op {
+                        let (id, len) = (posts.len() as u32, block.len);
+                        posts.push(Post { to, tag, id, len });
+                        let (recv, seq, stable) = (UNPAIRED, 0, stable[id as usize]);
+                        links.push(SendLink { recv, seq, stable });
+                    }
+                }
+                let paired = channels.channels(from as Rank, &mut posts, |ch| {
+                    for (seq, s) in ch.sends.iter().enumerate() {
+                        links[s.id as usize].seq = seq as u32;
+                    }
+                    for (s, r) in ch.pairs() {
+                        links[s.id as usize].recv = r.id;
+                    }
+                    Ok::<_, std::convert::Infallible>(())
+                });
+                let Ok(()) = paired;
+                links
+            })
+            .collect();
         PreparedSchedule {
             nranks: n,
             progs,
             bufsizes,
-            tags,
-            stable,
+            sends,
+            recv_base,
             phase_names: source.phase_names(),
         }
     }
@@ -332,19 +378,14 @@ impl<'s> PreparedSchedule<'s> {
                 .map(|p| Cow::Owned(p.into_owned()))
                 .collect(),
             bufsizes: self.bufsizes,
-            tags: self.tags,
-            stable: self.stable,
+            sends: self.sends,
+            recv_base: self.recv_base,
             phase_names: self.phase_names,
         }
     }
 
     pub fn nranks(&self) -> usize {
         self.nranks
-    }
-
-    /// Distinct tag count (dense mailbox width).
-    pub fn ntags(&self) -> usize {
-        self.tags.len()
     }
 
     pub fn prog(&self, rank: Rank) -> &RankProgram {
@@ -357,24 +398,18 @@ impl<'s> PreparedSchedule<'s> {
     pub fn buffer_sizes(&self, rank: Rank) -> &[Bytes] {
         &self.bufsizes[rank as usize]
     }
-
-    fn tag_slot(&self, tag: u32) -> usize {
-        self.tags
-            .binary_search(&tag)
-            .expect("tag was collected from these programs at prepare time")
-    }
 }
 
 /// Compiled-content equality across borrow states: a cached owned schedule
 /// compares equal to a freshly compiled borrowed one iff every program,
-/// buffer size, tag, stability flag, and phase name is bit-identical.
+/// buffer size, send link, receive slot and phase name is bit-identical.
 impl<'b> PartialEq<PreparedSchedule<'b>> for PreparedSchedule<'_> {
     fn eq(&self, other: &PreparedSchedule<'b>) -> bool {
         self.nranks == other.nranks
             && self.progs == other.progs
             && self.bufsizes == other.bufsizes
-            && self.tags == other.tags
-            && self.stable == other.stable
+            && self.sends == other.sends
+            && self.recv_base == other.recv_base
             && self.phase_names == other.phase_names
     }
 }
@@ -396,126 +431,90 @@ impl ScheduleSource for PreparedSchedule<'_> {
     }
 }
 
-/// Per-op send stability for one program. An `Isend`'s source region is
-/// stable iff no `Irecv` block in the program overlaps it (a receive posted
-/// *before* the send can still be satisfied — and written — *after* it)
-/// and no `Copy` at a later op index writes into it. Stable payloads can be
-/// delivered from the sender's live buffer; everything else is snapshotted.
+/// Per-send stability for one program, in send order. An `Isend`'s source
+/// region is stable iff no `Irecv` block in the program overlaps it (a
+/// receive posted *before* the send can still be satisfied — and written —
+/// *after* it) and no `Copy` at a later op index writes into it. Stable
+/// payloads can be delivered from the sender's live buffer; everything else
+/// is snapshotted.
 fn send_stability(prog: &RankProgram) -> Vec<bool> {
-    let mut recv_ranges: HashMap<u8, Vec<(Bytes, Bytes)>> = HashMap::new();
-    let mut copy_dsts: HashMap<u8, Vec<(usize, Bytes, Bytes)>> = HashMap::new();
-    for (i, top) in prog.ops.iter().enumerate() {
+    // Per buffer id: every receive block, then (walking backwards) every
+    // copy destination after the op at hand.
+    let (mut recvs, mut later_copies) = (Vec::new(), Vec::new());
+    for top in &prog.ops {
+        if let Op::Irecv { block, .. } = top.op {
+            Ranges::of(&mut recvs, block.buf).add(block);
+        }
+    }
+    let overlaps = |all: &[Ranges], b: Block| all.get(b.buf.0 as usize).is_some_and(|r| r.hit(b));
+    let mut stable = Vec::new();
+    for top in prog.ops.iter().rev() {
         match top.op {
-            Op::Irecv { block, .. } => recv_ranges
-                .entry(block.buf.0)
-                .or_default()
-                .push((block.off, block.end())),
-            Op::Copy { dst, .. } => {
-                copy_dsts
-                    .entry(dst.buf.0)
-                    .or_default()
-                    .push((i, dst.off, dst.end()))
+            Op::Copy { dst, .. } => Ranges::of(&mut later_copies, dst.buf).add(dst),
+            Op::Isend { block, .. } => {
+                stable.push(!overlaps(&recvs, block) && !overlaps(&later_copies, block))
             }
             _ => {}
         }
     }
-    // Cheap whole-buffer bounds so the common case (sends from SBUF,
-    // receives into RBUF/temporaries) rejects without scanning ranges.
-    let recv_bounds: HashMap<u8, (Bytes, Bytes)> = recv_ranges
-        .iter()
-        .map(|(b, v)| {
-            let lo = v.iter().map(|r| r.0).min().unwrap_or(Bytes::MAX);
-            let hi = v.iter().map(|r| r.1).max().unwrap_or(0);
-            (*b, (lo, hi))
-        })
-        .collect();
-    // Suffix bounds over copy destinations, by op index, for the same
-    // rejection on "any later copy".
-    let copy_suffix: HashMap<u8, Vec<(Bytes, Bytes)>> = copy_dsts
-        .iter()
-        .map(|(b, list)| {
-            let mut bounds = vec![(Bytes::MAX, 0); list.len() + 1];
-            for k in (0..list.len()).rev() {
-                let (_, off, end) = list[k];
-                let (no, ne) = bounds[k + 1];
-                bounds[k] = (no.min(off), ne.max(end));
-            }
-            (*b, bounds)
-        })
-        .collect();
+    stable.reverse();
+    stable
+}
 
-    let overlaps =
-        |a_off: Bytes, a_end: Bytes, b_off: Bytes, b_end: Bytes| a_off < b_end && b_off < a_end;
-    prog.ops
-        .iter()
-        .enumerate()
-        .map(|(i, top)| {
-            let Op::Isend { block, .. } = top.op else {
-                return false;
-            };
-            if let Some(&(lo, hi)) = recv_bounds.get(&block.buf.0) {
-                if overlaps(block.off, block.end(), lo, hi)
-                    && recv_ranges[&block.buf.0]
-                        .iter()
-                        .any(|&(o, e)| overlaps(block.off, block.end(), o, e))
-                {
-                    return false;
-                }
-            }
-            if let Some(list) = copy_dsts.get(&block.buf.0) {
-                let k = list.partition_point(|&(j, _, _)| j <= i);
-                let (lo, hi) = copy_suffix[&block.buf.0][k];
-                if overlaps(block.off, block.end(), lo, hi)
-                    && list[k..]
-                        .iter()
-                        .any(|&(_, o, e)| overlaps(block.off, block.end(), o, e))
-                {
-                    return false;
-                }
-            }
-            true
-        })
-        .collect()
+/// Byte ranges of one buffer, with their hull so the common case (sends
+/// from SBUF, receives into RBUF/temporaries) rejects without a scan.
+#[derive(Default)]
+struct Ranges {
+    hull: Option<(Bytes, Bytes)>,
+    all: Vec<(Bytes, Bytes)>,
+}
+
+impl Ranges {
+    /// Buffer `buf`'s entry of a per-buffer table, created empty.
+    fn of(table: &mut Vec<Ranges>, buf: BufId) -> &mut Ranges {
+        let i = buf.0 as usize;
+        if table.len() <= i {
+            table.resize_with(i + 1, Ranges::default);
+        }
+        &mut table[i]
+    }
+
+    fn add(&mut self, b: Block) {
+        let (lo, hi) = self.hull.unwrap_or((b.off, b.end()));
+        self.hull = Some((lo.min(b.off), hi.max(b.end())));
+        self.all.push((b.off, b.end()));
+    }
+
+    /// Whether `b` overlaps any of the ranges.
+    fn hit(&self, b: Block) -> bool {
+        let hits = |(lo, hi): (Bytes, Bytes)| b.off < hi && lo < b.end();
+        self.hull.is_some_and(hits) && self.all.iter().any(|&r| hits(r))
+    }
 }
 
 /// One in-flight message: a slice descriptor, never an owned buffer.
 /// `src == SRC_ARENA` means the payload lives at `arena[off..off+len]`;
 /// otherwise it is read from `bufs[src][buf][off..off+len]` at delivery
-/// (stable sends). `next` links the intrusive per-stream FIFO / free list.
+/// (stable sends). A receive's slot holds [`Msg::NONE`] until its paired
+/// send runs.
 #[derive(Clone, Copy)]
-struct MsgNode {
+struct Msg {
     src: Rank,
     buf: u8,
     off: Bytes,
     len: Bytes,
-    next: u32,
 }
 
-/// One `(from, to, tag)` stream: an intrusive FIFO over the node pool plus
-/// the send-order sequence counter (doubles as the "touched" marker so
-/// resets only clear streams a run actually used).
-#[derive(Clone, Copy)]
-struct Stream {
-    head: u32,
-    tail: u32,
-    next_seq: u64,
-}
+/// `Msg::src` value marking an arena-backed payload.
+const SRC_ARENA: Rank = Rank::MAX;
 
-impl Default for Stream {
-    fn default() -> Self {
-        Stream {
-            head: NONE_NODE,
-            tail: NONE_NODE,
-            next_seq: 0,
-        }
+impl Msg {
+    /// An empty slot.
+    const NONE: Msg = Msg::new(Rank::MAX - 1, 0, 0, 0);
+
+    const fn new(src: Rank, buf: u8, off: Bytes, len: Bytes) -> Self {
+        Msg { src, buf, off, len }
     }
-}
-
-enum MailIndex {
-    /// `streams[(to*n + from) * ntags + tag_slot]`.
-    Dense,
-    /// Fallback above [`DENSE_LIMIT`]: key -> index into `streams`.
-    Sparse(HashMap<(Rank, Rank, u32), u32>),
 }
 
 /// Byte arena with exact-size free lists. A schedule uses only a handful of
@@ -556,24 +555,22 @@ impl Arena {
     }
 }
 
-/// The zero-copy transport's state: every rank's buffers, the mailbox
-/// table, the message-node pool and the arena.
+/// The zero-copy transport's state: every rank's buffers, one message slot
+/// per receive, and the arena.
 struct Mail {
     bufs: Vec<Vec<Vec<u8>>>,
-    index: MailIndex,
-    streams: Vec<Stream>,
-    /// Dense-stream indices used this run (sparse mode clears wholesale).
-    touched: Vec<u32>,
-    nodes: Vec<MsgNode>,
-    free_node: u32,
+    /// Indexed by [`PreparedSchedule::recv_base`] plus receive ordinal.
+    slots: Vec<Msg>,
     arena: Arena,
+    /// Messages sent and not yet received, duplicates and unpaired sends
+    /// included.
     in_flight: usize,
 }
 
 /// All mutable state of one execution, reusable across runs of the same
-/// [`PreparedSchedule`]: buffers, the mailbox table, the message-node pool,
-/// the arena, and one [`RankStepper`] per rank. After the first run a
-/// bench loop allocates nothing.
+/// [`PreparedSchedule`]: buffers, the receive slots, the arena, and one
+/// [`RankStepper`] per rank. After the first run a bench loop allocates
+/// nothing.
 ///
 /// Buffers are *not* re-zeroed between runs; `fill` rewrites the send
 /// buffers and a schedule that verifies from zero-initialised buffers
@@ -586,26 +583,15 @@ pub struct ExecScratch {
 
 impl ExecScratch {
     pub fn new(prep: &PreparedSchedule<'_>) -> Self {
-        let n = prep.nranks;
         let bufs = prep
             .bufsizes
             .iter()
             .map(|sizes| sizes.iter().map(|&s| vec![0u8; s as usize]).collect())
             .collect();
-        let entries = n * n * prep.ntags().max(1);
-        let (index, streams) = if entries <= DENSE_LIMIT {
-            (MailIndex::Dense, vec![Stream::default(); entries])
-        } else {
-            (MailIndex::Sparse(HashMap::new()), Vec::new())
-        };
         ExecScratch {
             mail: Mail {
                 bufs,
-                index,
-                streams,
-                touched: Vec::new(),
-                nodes: Vec::new(),
-                free_node: NONE_NODE,
+                slots: vec![Msg::NONE; prep.recv_base[prep.nranks]],
                 arena: Arena::default(),
                 in_flight: 0,
             },
@@ -623,23 +609,10 @@ impl ExecScratch {
     /// Return to the ready state, keeping every allocation.
     fn reset(&mut self) {
         let m = &mut self.mail;
-        match &mut m.index {
-            MailIndex::Dense => {
-                for &i in &m.touched {
-                    m.streams[i as usize] = Stream::default();
-                }
-                m.touched.clear();
-            }
-            MailIndex::Sparse(map) => {
-                map.clear();
-                m.streams.clear();
-            }
-        }
         if m.in_flight != 0 {
-            // An errored run left nodes enqueued; the pool and arena are
-            // cheaper to rebuild than to unpick.
-            m.nodes.clear();
-            m.free_node = NONE_NODE;
+            // An errored run left messages in slots (or nowhere); the slots
+            // and arena are cheaper to rebuild than to unpick.
+            m.slots.fill(Msg::NONE);
             m.arena.clear();
             m.in_flight = 0;
         }
@@ -647,55 +620,8 @@ impl ExecScratch {
     }
 }
 
-impl Mail {
-    /// Index of the `(from, to, tag)` stream, creating it in sparse mode.
-    fn stream_idx(&mut self, prep: &PreparedSchedule<'_>, from: Rank, to: Rank, tag: u32) -> usize {
-        match &mut self.index {
-            MailIndex::Dense => {
-                (to as usize * prep.nranks + from as usize) * prep.ntags().max(1)
-                    + prep.tag_slot(tag)
-            }
-            MailIndex::Sparse(map) => {
-                let next = self.streams.len() as u32;
-                let idx = *map.entry((from, to, tag)).or_insert(next);
-                if idx == next {
-                    self.streams.push(Stream::default());
-                }
-                idx as usize
-            }
-        }
-    }
-
-    /// Take a node from the pool free list (or grow it).
-    fn node_alloc(&mut self, node: MsgNode) -> u32 {
-        if self.free_node != NONE_NODE {
-            let ni = self.free_node;
-            self.free_node = self.nodes[ni as usize].next;
-            self.nodes[ni as usize] = node;
-            ni
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
-        }
-    }
-
-    fn enqueue(&mut self, stream: usize, mut node: MsgNode) {
-        node.next = NONE_NODE;
-        let ni = self.node_alloc(node);
-        let st = &mut self.streams[stream];
-        if st.tail == NONE_NODE {
-            st.head = ni;
-        } else {
-            let tail = st.tail as usize;
-            self.nodes[tail].next = ni;
-        }
-        self.streams[stream].tail = ni;
-        self.in_flight += 1;
-    }
-}
-
 /// The zero-copy [`Transport`]: one run's view of a prepared schedule and
-/// its scratch mailbox.
+/// its scratch slots.
 struct Port<'e, 'p> {
     prep: &'e PreparedSchedule<'p>,
     m: &'e mut Mail,
@@ -712,128 +638,95 @@ impl Transport for Port<'_, '_> {
             .map(|b| b.len() as Bytes)
     }
 
-    /// Post one sent message. The common path allocates nothing and copies
-    /// nothing: a stable send enqueues a slice descriptor pointing at the
-    /// sender's live buffer. Unstable or fault-perturbed payloads are
-    /// snapshotted into the arena; an injected duplicate copies into a
-    /// second (recycled) arena slot — payload clones happen only when a
-    /// duplicate fault is actually injected.
+    /// Post one sent message into its paired receive's slot. The common
+    /// path allocates nothing and copies nothing: a stable send writes a
+    /// slice descriptor pointing at the sender's live buffer. Unstable or
+    /// corrupted payloads are snapshotted into the arena. An injected
+    /// duplicate is the one extra message, counted in flight and never
+    /// delivered.
     fn send(
         &mut self,
         from: Rank,
-        pc: usize,
+        ord: u32,
         to: Rank,
         tag: u32,
         block: Block,
     ) -> Result<(), ExecError> {
-        let m = &mut *self.m;
-        let stream = m.stream_idx(self.prep, from, to, tag);
-        if m.streams[stream].next_seq == 0 {
-            if let MailIndex::Dense = m.index {
-                m.touched.push(stream as u32);
-            }
-        }
-        let seq = m.streams[stream].next_seq;
-        m.streams[stream].next_seq += 1;
-
+        let link = self.prep.sends[from as usize][ord as usize];
         let fault = match self.injector {
-            Some(inj) => inj.on_message(from, to, tag, seq),
+            Some(inj) => inj.on_message(from, to, tag, link.seq as u64),
             None => MessageFault::clean(),
         };
         if fault.drop {
             self.faults.dropped += 1;
             return Ok(());
         }
-        if self.prep.stable[from as usize][pc] && fault.corrupt.is_none() {
-            let node = MsgNode {
-                src: from,
-                buf: block.buf.0,
-                off: block.off,
-                len: block.len,
-                next: NONE_NODE,
-            };
-            if fault.duplicate {
-                self.faults.duplicated += 1;
-                m.enqueue(stream, node);
-            }
-            m.enqueue(stream, node);
-            return Ok(());
-        }
-        // Snapshot into the arena (recycled slots are fully overwritten).
-        let off = m.arena.alloc(block.len);
-        let src =
-            &m.bufs[from as usize][block.buf.0 as usize][block.off as usize..block.end() as usize];
-        let dst = &mut m.arena.bytes[off as usize..(off + block.len) as usize];
-        dst.copy_from_slice(src);
-        if fault.apply_corrupt(dst) {
-            self.faults.corrupted += 1;
-        }
-        let node = MsgNode {
-            src: SRC_ARENA,
-            buf: 0,
-            off,
-            len: block.len,
-            next: NONE_NODE,
-        };
+        let m = &mut *self.m;
         if fault.duplicate {
             self.faults.duplicated += 1;
-            let dup_off = m.arena.alloc(block.len);
-            m.arena
-                .bytes
-                .copy_within(off as usize..(off + block.len) as usize, dup_off as usize);
-            m.enqueue(
-                stream,
-                MsgNode {
-                    off: dup_off,
-                    ..node
-                },
-            );
+            m.in_flight += 1;
         }
-        m.enqueue(stream, node);
+        m.in_flight += 1;
+        let msg = if link.stable && fault.corrupt.is_none() {
+            Msg::new(from, block.buf.0, block.off, block.len)
+        } else {
+            // Snapshot into the arena (recycled slots are fully overwritten).
+            let off = m.arena.alloc(block.len);
+            let src = &m.bufs[from as usize][block.buf.0 as usize]
+                [block.off as usize..block.end() as usize];
+            let dst = &mut m.arena.bytes[off as usize..(off + block.len) as usize];
+            dst.copy_from_slice(src);
+            if fault.apply_corrupt(dst) {
+                self.faults.corrupted += 1;
+            }
+            Msg::new(SRC_ARENA, 0, off, block.len)
+        };
+        if link.recv != UNPAIRED {
+            m.slots[self.prep.recv_base[to as usize] + link.recv as usize] = msg;
+        }
         Ok(())
     }
 
-    fn recv(&mut self, rank: Rank, from: Rank, tag: u32, block: Block) -> Result<bool, ExecError> {
+    fn recv(
+        &mut self,
+        rank: Rank,
+        ord: u32,
+        from: Rank,
+        tag: u32,
+        block: Block,
+    ) -> Result<bool, ExecError> {
         let m = &mut *self.m;
-        let stream = m.stream_idx(self.prep, from, rank, tag);
-        let head = m.streams[stream].head;
-        if head == NONE_NODE {
+        let slot = &mut m.slots[self.prep.recv_base[rank as usize] + ord as usize];
+        let msg = *slot;
+        if msg.src == Msg::NONE.src {
             return Ok(false);
         }
-        let node = m.nodes[head as usize];
-        if node.len != block.len {
+        if msg.len != block.len {
             return Err(ExecError::LengthMismatch {
                 rank,
                 from,
                 tag,
-                sent: node.len,
+                sent: msg.len,
                 posted: block.len,
             });
         }
-        // Unlink the head and return it to the pool.
-        let st = &mut m.streams[stream];
-        st.head = node.next;
-        if st.head == NONE_NODE {
-            st.tail = NONE_NODE;
-        }
-        m.nodes[head as usize].next = m.free_node;
-        m.free_node = head;
+        *slot = Msg::NONE;
         m.in_flight -= 1;
 
         let dst = block.off as usize..block.end() as usize;
-        if node.src == SRC_ARENA {
-            let src = &m.arena.bytes[node.off as usize..(node.off + node.len) as usize];
+        if msg.src == SRC_ARENA {
+            let src = &m.arena.bytes[msg.off as usize..(msg.off + msg.len) as usize];
             m.bufs[rank as usize][block.buf.0 as usize][dst].copy_from_slice(src);
-            m.arena.release(node.off, node.len);
+            m.arena.release(msg.off, msg.len);
         } else {
             // A stable send, read from the sender's live buffer.
-            let src = Block::new(BufId(node.buf), node.off, node.len);
-            if node.src == rank {
+            let src = Block::new(BufId(msg.buf), msg.off, msg.len);
+            if msg.src == rank {
                 copy_block(&mut m.bufs[rank as usize], src, block);
             } else {
-                let (s, d) = split_two(&mut m.bufs, node.src as usize, rank as usize);
+                let (s, d) = split_two(&mut m.bufs, msg.src as usize, rank as usize);
                 d[block.buf.0 as usize][dst].copy_from_slice(
-                    &s[node.buf as usize][node.off as usize..(node.off + node.len) as usize],
+                    &s[msg.buf as usize][msg.off as usize..(msg.off + msg.len) as usize],
                 );
             }
         }
@@ -850,7 +743,7 @@ impl Transport for Port<'_, '_> {
 }
 
 /// Sequential deterministic executor over the zero-copy fast path: the
-/// sequential [`step::drive`] over the scratch mailbox. See module docs.
+/// sequential [`step::drive`] over the scratch slots. See module docs.
 pub struct DataExecutor;
 
 impl DataExecutor {
@@ -937,17 +830,8 @@ impl DataExecutor {
 
 /// Move the receive buffers out of a one-shot scratch.
 fn take_result(scratch: &mut ExecScratch, stats: ExecStats) -> ExecResult {
-    let rbufs = scratch
-        .mail
-        .bufs
-        .iter_mut()
-        .map(|bufs| {
-            if bufs.len() > 1 {
-                std::mem::take(&mut bufs[1])
-            } else {
-                Vec::new()
-            }
-        })
+    let rbufs = (scratch.mail.bufs.iter_mut())
+        .map(|bufs| bufs.get_mut(1).map(std::mem::take).unwrap_or_default())
         .collect();
     ExecResult {
         rbufs,
@@ -1203,6 +1087,38 @@ mod tests {
     }
 
     #[test]
+    fn a_fault_acts_on_its_own_message_of_a_channel() {
+        // Rank 0 sends a 4-byte and then an 8-byte message on one channel;
+        // rank 1 receives each with a blocking receive of its length.
+        let mut b0 = ProgBuilder::new(Phase(0));
+        let first = b0.isend(1, Block::new(SBUF, 0, 4), 0);
+        b0.isend(1, Block::new(SBUF, 4, 8), 0);
+        b0.waitall(first, 2);
+        let mut b1 = ProgBuilder::new(Phase(0));
+        b1.recv(0, Block::new(RBUF, 0, 4), 0);
+        b1.recv(0, Block::new(RBUF, 4, 8), 0);
+        let progs = vec![b0.finish(), b1.finish()];
+        let src = TwoRank { progs, bufsize: 16 };
+        DataExecutor::run(&src, |_, _| {}).unwrap();
+        // The dropped first message leaves the first receive unsatisfied:
+        // the second message never shifts onto it, so rank 1 blocks at its
+        // first wait (op 1), not with a length mismatch.
+        let faults = |dropped, duplicated| FaultStats {
+            dropped,
+            duplicated,
+            corrupted: 0,
+        };
+        let err = DataExecutor::run_with_faults(&src, |_, _| {}, &DropFirstTo1).unwrap_err();
+        let blocked = vec![(1, 1)];
+        assert_eq!(err, faults(1, 0).blame(ExecError::Deadlock { blocked }));
+        // Each duplicate is one extra message: both receives get their own
+        // (no length mismatch), and the two copies are left in flight.
+        let err = DataExecutor::run_with_faults(&src, |_, _| {}, &DupAll).unwrap_err();
+        let cause = ExecError::UnconsumedMessages { count: 2 };
+        assert_eq!(err, faults(0, 2).blame(cause));
+    }
+
+    #[test]
     fn clean_injector_behaves_like_plain_run() {
         struct Clean;
         impl FaultInjector for Clean {
@@ -1264,7 +1180,7 @@ mod tests {
         let src = TwoRank { progs, bufsize: 16 };
         let prep = PreparedSchedule::new(&src);
         assert!(
-            !prep.stable[0][0],
+            !prep.sends[0][0].stable,
             "send source is overwritten by a later copy"
         );
         let res = DataExecutor::run(&src, |r, buf| {
@@ -1288,10 +1204,7 @@ mod tests {
         let src = swap_schedule();
         let prep = PreparedSchedule::new(&src);
         for r in 0..2 {
-            let sends_stable =
-                prep.prog(r).ops.iter().enumerate().any(|(i, top)| {
-                    matches!(top.op, Op::Isend { .. }) && prep.stable[r as usize][i]
-                });
+            let sends_stable = prep.sends[r as usize].iter().any(|l| l.stable);
             assert!(sends_stable, "rank {r}'s send should be stable");
         }
     }
@@ -1317,7 +1230,7 @@ mod tests {
         let src = TwoRank { progs, bufsize: 16 };
         let prep = PreparedSchedule::new(&src);
         assert!(
-            !prep.stable[0][0] && !prep.stable[1][2],
+            !prep.sends[0][0].stable && !prep.sends[1][0].stable,
             "both sends unstable"
         );
         let res = DataExecutor::run(&src, |r, buf| {
@@ -1337,7 +1250,7 @@ mod tests {
     fn prepared_scratch_reuse_is_allocation_stable_and_correct() {
         // Run the same prepared schedule three times with different fills:
         // each run must produce that fill's answer (no stale bytes leak
-        // across runs through the reused buffers, arena, or mailboxes).
+        // across runs through the reused buffers, arena, or slots).
         let src = swap_schedule();
         let prep = PreparedSchedule::new(&src);
         let mut scratch = ExecScratch::new(&prep);

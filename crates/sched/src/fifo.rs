@@ -1,11 +1,14 @@
 //! MPI's non-overtaking rule, resolved once: the k-th send on a
 //! `(from, to, tag)` channel pairs with the k-th receive on it, each in its
-//! rank's program order. [`crate::Matched::build`] and the simulator both
-//! pair with [`FifoChannels`], so a simulated run pairs exactly the
-//! messages the static analyses pair.
+//! rank's program order. [`crate::Matched::build`], the simulator and the
+//! data executor ([`crate::PreparedSchedule`]) all pair with
+//! [`FifoChannels`], so a run pairs exactly the messages the static
+//! analyses pair.
 //!
 //! Receives are gathered under their source; each sender's sends are then
-//! paired against them, both sorted per sender so every sort is small.
+//! split into channels against them, both sorted per sender so every
+//! sort is small. [`FifoChannels::pair`] rejects a channel whose sides
+//! differ; the data executor pairs its common prefix.
 
 use a2a_topo::Rank;
 
@@ -20,6 +23,21 @@ pub struct Post {
     pub tag: u32,
     pub id: u32,
     pub len: Bytes,
+}
+
+/// One channel's posts from one sender, each side in program order.
+pub(crate) struct Channel<'a> {
+    pub(crate) to: Rank,
+    pub(crate) tag: u32,
+    pub(crate) sends: &'a [Post],
+    pub(crate) recvs: &'a [Post],
+}
+
+impl<'a> Channel<'a> {
+    /// The k-th send with the k-th receive, for every k both sides reach.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (&'a Post, &'a Post)> {
+        self.sends.iter().zip(self.recvs)
+    }
 }
 
 /// A schedule's receives by source, ready to pair each sender's sends.
@@ -41,18 +59,16 @@ impl FifoChannels {
         self.recvs[from as usize].push(post);
     }
 
-    /// Pair the sends of rank `from`, in its program order, with the
-    /// receives naming it (which this consumes), calling `visit(to, send,
-    /// recv)` per pair in ascending `(to, tag)` order. A channel whose
-    /// counts or paired lengths differ is an error naming it, except that
-    /// with `spare_recvs` its receives beyond its sends are left unpaired.
-    pub fn pair(
+    /// Split the sends of rank `from`, in its program order, and the
+    /// receives naming it (which this consumes) into channels, calling
+    /// `visit` per channel either side posts on, in ascending `(to, tag)`
+    /// order, until it returns an error.
+    pub(crate) fn channels<E>(
         &mut self,
         from: Rank,
         sends: &mut [Post],
-        spare_recvs: bool,
-        mut visit: impl FnMut(Rank, &Post, &Post),
-    ) -> Result<(), ValidationError> {
+        mut visit: impl FnMut(Channel<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
         let mut recvs = std::mem::take(&mut self.recvs[from as usize]);
         // Stable: each channel stays in program order.
         let key = |p: &Post| (p.to, p.tag);
@@ -65,7 +81,31 @@ impl FifoChannels {
             (Some(a), Some(b)) => Some(key(a).min(key(b))),
             (a, b) => a.or(b).map(key),
         } {
-            let (s, mut r) = (split(&mut sends, to, tag), split(&mut recvs, to, tag));
+            let (s, r) = (split(&mut sends, to, tag), split(&mut recvs, to, tag));
+            visit(Channel {
+                to,
+                tag,
+                sends: s,
+                recvs: r,
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Pair the sends of rank `from` with the receives naming it, calling
+    /// `visit(to, send, recv)` per pair in ascending `(to, tag)` order. A
+    /// channel whose counts or paired lengths differ is an error naming it,
+    /// except that with `spare_recvs` its receives beyond its sends are
+    /// left unpaired.
+    pub fn pair(
+        &mut self,
+        from: Rank,
+        sends: &mut [Post],
+        spare_recvs: bool,
+        mut visit: impl FnMut(Rank, &Post, &Post),
+    ) -> Result<(), ValidationError> {
+        self.channels(from, sends, |ch| {
+            let (to, tag, s, mut r) = (ch.to, ch.tag, ch.sends, ch.recvs);
             if spare_recvs && r.len() > s.len() {
                 r = &r[..s.len()];
             }
@@ -88,9 +128,9 @@ impl FifoChannels {
                     recv_len: r[index].len,
                 });
             }
-            s.iter().zip(r).for_each(|(s, r)| visit(to, s, r));
-        }
-        Ok(())
+            ch.pairs().for_each(|(s, r)| visit(to, s, r));
+            Ok(())
+        })
     }
 }
 
@@ -136,6 +176,35 @@ mod tests {
         ];
         let got = pairs(&mut chans, &mut sends, false).unwrap();
         assert_eq!(got, [(1, 3, 11), (1, 0, 10), (1, 2, 12), (2, 1, 20)]);
+    }
+
+    #[test]
+    fn channels_hand_over_uneven_sides_and_pair_their_common_prefix() {
+        let mut chans = FifoChannels::new(3);
+        chans.recv(0, post(1, 7, 10, 8));
+        chans.recv(0, post(2, 0, 20, 4));
+        chans.recv(0, post(2, 0, 21, 4));
+        let mut sends = [
+            post(2, 0, 0, 16),
+            post(1, 7, 1, 8),
+            post(1, 7, 2, 8),
+            post(1, 9, 3, 8),
+        ];
+        let mut seen = Vec::new();
+        let walked = chans.channels(0, &mut sends, |ch| {
+            let pairs: Vec<_> = ch.pairs().map(|(s, r)| (s.id, r.id)).collect();
+            seen.push((ch.to, ch.tag, ch.sends.len(), ch.recvs.len(), pairs));
+            Ok::<_, ()>(())
+        });
+        assert_eq!(walked, Ok(()));
+        assert_eq!(
+            seen,
+            [
+                (1, 7, 2, 1, vec![(1, 10)]),
+                (1, 9, 1, 0, vec![]),
+                (2, 0, 1, 2, vec![(0, 20)]),
+            ]
+        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! ([`ir::Op`]) over named byte buffers. Three independent executors consume
 //! the same programs:
 //!
-//! * the **data executor** in this crate ([`exec`]) moves real bytes through
-//!   matched mailboxes and proves the schedule performs an exact all-to-all
-//!   transpose;
+//! * the **data executor** in this crate ([`exec`]) moves real bytes between
+//!   paired sends and receives and proves the schedule performs an exact
+//!   all-to-all transpose;
 //! * the **discrete-event simulator** in `a2a-netsim` assigns virtual time
 //!   to every operation under a many-core cluster cost model;
 //! * the **threaded runtime** in `a2a-runtime` runs the program on OS
@@ -18,11 +18,12 @@
 //! dependency structure (a `Sendrecv` blocks until both transfers complete)
 //! while keeping the executors uniform.
 //!
-//! The executors match messages *dynamically* (faults, retransmits). The
-//! simulator and the validator ([`validate()`]) resolve "the k-th send on a
-//! channel pairs with the k-th receive" statically ([`FifoChannels`]), the
-//! validator into a [`Matched`] schedule that the wait-for graph, the
-//! dataflow prover and the critical-path analyzer ([`analysis`]) fold over.
+//! The data executor, the simulator and the validator ([`validate()`])
+//! resolve "the k-th send on a channel pairs with the k-th receive" once,
+//! statically ([`FifoChannels`]); the validator into a [`Matched`] schedule
+//! that the wait-for graph, the dataflow prover and the critical-path
+//! analyzer ([`analysis`]) fold over. Only the threaded runtime matches
+//! messages *dynamically* (faults, retransmits).
 //!
 //! # Example
 //!

@@ -3,9 +3,9 @@
 //! Every byte-moving executor applies the same MPI rule: a rank runs past
 //! `Isend` / `Irecv` / `Copy`, blocks only at a `WaitAll`, and the k-th
 //! send on a `(from, to, tag)` channel pairs with the k-th receive posted
-//! on it. [`RankStepper`] holds one rank's interpreter state and applies
-//! that rule once; a [`Transport`] only moves bytes. The transports are
-//! the data executor's zero-copy mailbox ([`crate::ExecScratch`]), the
+//! on it. [`RankStepper`] holds one rank's interpreter state and runs the
+//! ops; a [`Transport`] pairs messages and moves bytes. The transports are
+//! the data executor's zero-copy receive slots ([`crate::ExecScratch`]), the
 //! threaded runtime's fabric port, and the legacy oracle in
 //! `a2a-testutil`; the two drivers are [`drive`] (sequential round-robin,
 //! below) and the runtime's fabric worker.
@@ -18,10 +18,12 @@
 //!   on;
 //! * the block checks (`UnknownBuffer`, `OutOfBounds`) and `UnknownRequest`
 //!   are made here, before the transport sees the op;
-//! * per-channel FIFO is the transport's job: a transport that can receive
-//!   a message *during* a step must refuse, for the rest of that step, a
-//!   channel that already came up empty in it, or a later receive could
-//!   overtake an earlier one on the same channel.
+//! * each send and receive gets its ordinal among the rank's sends or
+//!   receives: the data executor paired them at prepare time by it;
+//! * per-channel FIFO is the fabric transport's concern alone: a message
+//!   can reach it *during* a step, so it refuses, for the rest of that
+//!   step, a channel that already came up empty in it, or a later receive
+//!   could overtake an earlier one on the same channel.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -48,20 +50,27 @@ pub trait Transport {
     type Error;
     /// Length of `rank`'s buffer `buf`; `None` if the rank has no such buffer.
     fn buffer_len(&self, rank: Rank, buf: u8) -> Option<Bytes>;
-    /// Post `block` of `rank` to `to` on `tag` (eager: never blocks). `pc`
-    /// is the send's op index.
+    /// Post `block` of `rank` to `to` on `tag` (eager: never blocks). `ord`
+    /// counts the rank's earlier sends.
     fn send(
         &mut self,
         rank: Rank,
-        pc: usize,
+        ord: u32,
         to: Rank,
         tag: u32,
         block: Block,
     ) -> Result<(), Self::Error>;
     /// Deliver the next message on `(from, rank, tag)` into `block` if one
-    /// is deliverable now; `Ok(false)` if not.
-    fn recv(&mut self, rank: Rank, from: Rank, tag: u32, block: Block)
-        -> Result<bool, Self::Error>;
+    /// is deliverable now; `Ok(false)` if not. `ord` counts the rank's
+    /// receives posted before this one.
+    fn recv(
+        &mut self,
+        rank: Rank,
+        ord: u32,
+        from: Rank,
+        tag: u32,
+        block: Block,
+    ) -> Result<bool, Self::Error>;
     /// Copy `src` onto `dst` within `rank`'s buffers.
     fn copy(&mut self, rank: Rank, src: Block, dst: Block);
     /// The transport's form of a schedule error the stepper found.
@@ -70,18 +79,22 @@ pub trait Transport {
 
 #[derive(Debug, Clone, Copy)]
 struct PostedRecv {
+    ord: u32,
     from: Rank,
     tag: u32,
     block: Block,
     req: u32,
 }
 
-/// One rank's interpreter state: program counter, posted-but-unmatched
-/// receives in posting order, request-completion bits, and traffic
-/// counters. Reusable across runs via [`RankStepper::reset`].
+/// One rank's interpreter state: program counter, send and receive
+/// ordinals, posted-but-unmatched receives in posting order,
+/// request-completion bits, and traffic counters. Reusable across runs via
+/// [`RankStepper::reset`].
 #[derive(Debug, Clone)]
 pub struct RankStepper {
     pc: usize,
+    sends: u32,
+    recvs: u32,
     posted: VecDeque<PostedRecv>,
     complete: Vec<bool>,
     stats: ExecStats,
@@ -91,6 +104,8 @@ impl RankStepper {
     pub fn new(prog: &RankProgram) -> Self {
         RankStepper {
             pc: 0,
+            sends: 0,
+            recvs: 0,
             posted: VecDeque::new(),
             complete: vec![false; prog.n_reqs as usize],
             stats: ExecStats::default(),
@@ -100,6 +115,8 @@ impl RankStepper {
     /// Back to the start of the program, keeping every allocation.
     pub fn reset(&mut self) {
         self.pc = 0;
+        self.sends = 0;
+        self.recvs = 0;
         self.posted.clear();
         self.complete.iter_mut().for_each(|c| *c = false);
         self.stats = ExecStats::default();
@@ -143,7 +160,8 @@ impl RankStepper {
                     ..
                 } => {
                     check(rank, block, t)?;
-                    t.send(rank, self.pc, to, tag, block)?;
+                    t.send(rank, self.sends, to, tag, block)?;
+                    self.sends += 1;
                     self.complete[req as usize] = true;
                 }
                 Op::Irecv {
@@ -154,11 +172,13 @@ impl RankStepper {
                 } => {
                     check(rank, block, t)?;
                     self.posted.push_back(PostedRecv {
+                        ord: self.recvs,
                         from,
                         tag,
                         block,
                         req,
                     });
+                    self.recvs += 1;
                 }
                 Op::WaitAll { first_req, count } => {
                     moved |= self.match_posted(rank, t)?;
@@ -194,7 +214,7 @@ impl RankStepper {
         let mut i = 0;
         while i < self.posted.len() {
             let p = self.posted[i];
-            if !t.recv(rank, p.from, p.tag, p.block)? {
+            if !t.recv(rank, p.ord, p.from, p.tag, p.block)? {
                 i += 1;
                 continue;
             }
@@ -357,7 +377,7 @@ mod tests {
         fn send(
             &mut self,
             rank: Rank,
-            _: usize,
+            _: u32,
             to: Rank,
             tag: u32,
             b: Block,
@@ -370,7 +390,14 @@ mod tests {
                 .push_back(data);
             Ok(())
         }
-        fn recv(&mut self, rank: Rank, from: Rank, tag: u32, b: Block) -> Result<bool, ExecError> {
+        fn recv(
+            &mut self,
+            rank: Rank,
+            _: u32,
+            from: Rank,
+            tag: u32,
+            b: Block,
+        ) -> Result<bool, ExecError> {
             let Some(data) = self
                 .mail
                 .get_mut(&(from, rank, tag))

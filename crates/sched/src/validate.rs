@@ -215,9 +215,10 @@ impl ScheduleStats {
 ///
 /// Matching is the static FIFO rule — the k-th `Isend` on a
 /// `(from, to, tag)` channel pairs with the k-th `Irecv` on it, each in
-/// program order — as [`FifoChannels`] resolves it for the simulator too.
-/// (The executors match *dynamically*, under faults and retransmits, and
-/// agree with this rule on every fault-free run.) A request completes at
+/// program order — as [`FifoChannels`] resolves it for the simulator and
+/// the data executor too. (The threaded runtime matches *dynamically*,
+/// under faults and retransmits, and agrees with this rule on every
+/// fault-free run.) A request completes at
 /// the **first** `WaitAll` covering it; a later wait over the same request
 /// is legal IR and finds it complete.
 ///

@@ -52,15 +52,21 @@ pub fn check_alltoall_rbuf(rank: Rank, n: usize, s: Bytes, buf: &[u8]) -> Result
             n as Bytes * s
         ));
     }
+    // One slice compare per block: a per-byte compare-and-branch loop runs
+    // up to a fifth slower or faster depending on where it is linked.
+    let mut want = vec![0u8; s as usize];
     for src in 0..n {
-        for k in 0..s {
-            let got = buf[(src as Bytes * s + k) as usize];
-            let want = pattern_byte(src as Rank, rank, k);
-            if got != want {
-                return Err(format!(
-                    "rank {rank}: block from {src} byte {k}: got {got:#04x}, want {want:#04x}"
-                ));
-            }
+        let got = &buf[src * s as usize..][..s as usize];
+        for (k, w) in want.iter_mut().enumerate() {
+            *w = pattern_byte(src as Rank, rank, k as Bytes);
+        }
+        if got != want {
+            let k = got.iter().zip(&want).position(|(g, w)| g != w);
+            let k = k.expect("unequal blocks of one length differ at some byte");
+            return Err(format!(
+                "rank {rank}: block from {src} byte {k}: got {:#04x}, want {:#04x}",
+                got[k], want[k]
+            ));
         }
     }
     Ok(())

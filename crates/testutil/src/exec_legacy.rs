@@ -4,8 +4,9 @@
 //! `a2a_sched::DataExecutor`, over the transport the data executor had
 //! before its zero-copy rewrite: it clones each rank's program, allocates
 //! a fresh `Vec<u8>` per message, and keys mailboxes by
-//! `HashMap<(from, to, tag)>`. The fast transport replaced all three with
-//! borrowed programs, an arena + message pool and a dense mailbox table;
+//! `HashMap<(from, to, tag)>` that matches at run time. The fast transport
+//! replaced all three with borrowed programs, an arena, and receive slots
+//! paired with their sends at prepare time;
 //! differential tests (`tests/zero_copy_fastpath.rs`, `tests/exec_golden.rs`)
 //! pin it byte-identical to this one. The stepper itself is pinned by the
 //! recorded values of `tests/exec_golden.rs`.
@@ -135,7 +136,7 @@ impl Transport for Legacy<'_> {
     fn send(
         &mut self,
         from: Rank,
-        _pc: usize,
+        _ord: u32,
         to: Rank,
         tag: u32,
         block: Block,
@@ -171,7 +172,14 @@ impl Transport for Legacy<'_> {
         Ok(())
     }
 
-    fn recv(&mut self, rank: Rank, from: Rank, tag: u32, block: Block) -> Result<bool, ExecError> {
+    fn recv(
+        &mut self,
+        rank: Rank,
+        _ord: u32,
+        from: Rank,
+        tag: u32,
+        block: Block,
+    ) -> Result<bool, ExecError> {
         let msg = match self.mail.get_mut(&(from, rank, tag)) {
             Some(q) if !q.is_empty() => q.pop_front().unwrap(),
             _ => return Ok(false),
